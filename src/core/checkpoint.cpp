@@ -29,8 +29,8 @@ std::string hex(std::uint64_t v) {
 
 }  // namespace
 
-// ---- field encoders (shared by the suite, detector-state and service
-// session formats; declared in checkpoint.hpp) ----
+// ---- field encoders (shared by the suite and detector-state formats;
+// declared in checkpoint.hpp) ----
 
 void write_stats(BinWriter& w, const MachineStats& s) {
   w.u64(s.accesses);

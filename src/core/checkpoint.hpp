@@ -99,8 +99,8 @@ Expected<SuiteCheckpoint> load_checkpoint(const std::filesystem::path& path,
                                           std::uint64_t expected_hash);
 
 // Shared field codecs over core/codec.hpp, reused by every payload format
-// in this file and by the service session snapshots (src/svc/): fixed-width
-// little-endian fields, length-prefixed containers, range-checked on read.
+// in this file: fixed-width little-endian fields, length-prefixed
+// containers, range-checked on read.
 void write_stats(BinWriter& w, const MachineStats& s);
 MachineStats read_stats(BinReader& r);
 void write_matrix(BinWriter& w, const CommMatrix& m);

@@ -16,9 +16,7 @@
 #include "core/shutdown.hpp"
 #include "npb/workload.hpp"
 #include "obs/obs.hpp"
-#include "sim/scan.hpp"
 #include "sim/trace_file.hpp"
-#include "svc/serve.hpp"
 
 namespace tlbmap {
 
@@ -67,7 +65,6 @@ std::string cli_usage() {
       "  suite     run the full evaluation table across apps\n"
       "  record    capture an app's trace to a directory\n"
       "  replay    run a captured trace\n"
-      "  serve     host the mapping service for N synthetic tenants\n"
       "\n"
       "options:\n"
       "  --app NAME           one of BT CG EP FT IS LU MG SP UA (default SP)\n"
@@ -87,12 +84,6 @@ std::string cli_usage() {
       "  --mapping-strategy S auto | edmonds | greedy | multisection\n"
       "                       (default auto: Edmonds below 128 threads,\n"
       "                       multisection at manycore scale)\n"
-      "  --hm-naive-sweep     use the reference pairwise HM sweep instead\n"
-      "                       of the inverted page index (same results;\n"
-      "                       for A/B benchmarking)\n"
-      "  --coherence-broadcast  resolve coherence probes by walking every\n"
-      "                       L2 instead of the line-occupancy directory\n"
-      "                       (same results; for A/B benchmarking)\n"
       "  --machine-workers N  shard observer-free runs (evaluate/replay)\n"
       "                       across N worker threads via the epoch engine\n"
       "                       (same statistics for every N; default 0 =\n"
@@ -100,9 +91,6 @@ std::string cli_usage() {
       "  --epoch-events N     events each shard issues per epoch between\n"
       "                       cross-domain reductions (default 2048; needs\n"
       "                       --machine-workers)\n"
-      "  --scalar-scan        use the reference scalar TLB/cache set walks\n"
-      "                       instead of the SIMD tag-scan kernels (same\n"
-      "                       results; for A/B benchmarking)\n"
       "  --apps A,B,...       suite: restrict the application set\n"
       "  --mapping 0,1,...    evaluate/replay: explicit thread->core list\n"
       "  --out DIR / --in DIR record/replay trace directory\n"
@@ -133,33 +121,13 @@ std::string cli_usage() {
       "  --no-rollback        measure canary verdicts but never act on a\n"
       "                       regression (the commit-blind control arm)\n"
       "\n"
-      "mapping service (serve only; DESIGN.md Sec. 16):\n"
-      "  --tenants N          synthetic tenant sessions (default 4)\n"
-      "  --corrupt-tenant K   deterministically corrupt tenant K's thread-0\n"
-      "                       stream; exactly that session must quarantine\n"
-      "                       while the others finish untouched\n"
-      "  --serve-ticks N      stop after N service ticks (0 = drain all)\n"
-      "  --chunk-bytes N      ingest fragment size per thread per tick\n"
-      "  --max-sessions N     admission cap on live sessions\n"
-      "  --queue-bytes N      per-session ingest queue bound (backpressure)\n"
-      "  --session-budget N   per-session memory budget in bytes\n"
-      "  --total-budget N     fleet memory budget (reject-new first, then\n"
-      "                       shed newest when tightened at runtime)\n"
-      "  --deadline-events N  per-session decode slice per tick\n"
-      "  --drift-threshold X  cosine drift below which decisions re-match\n"
-      "  --window-pages N     stream-detector LRU window per thread\n"
-      "  --sweep-every N      stream-detector sweep cadence in events\n"
-      "  --serve-out FILE     structured JSON report (tenants, quarantine\n"
-      "                       reasons, counters)\n"
-      "\n"
-      "crash safety (suite and serve):\n"
-      "  --checkpoint-dir DIR checkpoint progress to DIR/suite.ckpt (suite)\n"
-      "                       or DIR/service.ckpt (serve) and handle\n"
-      "                       SIGINT/SIGTERM cleanly (the run stops at a\n"
-      "                       task/tick boundary and exits 130)\n"
+      "crash safety (suite only):\n"
+      "  --checkpoint-dir DIR checkpoint progress to DIR/suite.ckpt and\n"
+      "                       handle SIGINT/SIGTERM cleanly (the run stops\n"
+      "                       at a task boundary and exits 130)\n"
       "  --checkpoint-every-events N\n"
       "                       simulated accesses between checkpoint writes\n"
-      "                       (suite; default 0 = write after every task)\n"
+      "                       (default 0 = write after every task)\n"
       "  --resume             continue from the checkpoint; a missing or\n"
       "                       invalid checkpoint falls back to a fresh run\n"
       "\n"
@@ -208,14 +176,13 @@ CliOptions parse_cli(int argc, const char* const* argv) {
   }
   static const std::vector<std::string> kCommands = {
       "detect", "map",    "evaluate", "dynamic",
-      "suite",  "record", "replay",   "serve"};
+      "suite",  "record", "replay"};
   if (std::find(kCommands.begin(), kCommands.end(), opt.command) ==
       kCommands.end()) {
     opt.error = "unknown command: " + opt.command;
     return opt;
   }
 
-  bool serve_flag_used = false;
   bool dynamic_flag_used = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -256,10 +223,6 @@ CliOptions parse_cli(int argc, const char* const* argv) {
         opt.help = true;
       } else if (arg == "--numa") {
         opt.numa = true;
-      } else if (arg == "--hm-naive-sweep") {
-        opt.hm_naive_sweep = true;
-      } else if (arg == "--coherence-broadcast") {
-        opt.coherence_broadcast = true;
       } else if (arg == "--app") {
         if (const char* v = next_value()) opt.app = v;
       } else if (arg == "--mechanism") {
@@ -308,8 +271,6 @@ CliOptions parse_cli(int argc, const char* const* argv) {
         if (const char* v = next_value()) opt.machine_workers = to_int(v);
       } else if (arg == "--epoch-events") {
         if (const char* v = next_value()) opt.epoch_events = to_u64(v);
-      } else if (arg == "--scalar-scan") {
-        opt.scalar_scan = true;
       } else if (arg == "--checkpoint-dir") {
         if (const char* v = next_value()) opt.checkpoint_dir = v;
       } else if (arg == "--checkpoint-every-events") {
@@ -362,47 +323,6 @@ CliOptions parse_cli(int argc, const char* const* argv) {
       } else if (arg == "--no-rollback") {
         dynamic_flag_used = true;
         opt.online.rollback = false;
-      } else if (arg == "--tenants") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.tenants = to_int(v);
-      } else if (arg == "--corrupt-tenant") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.corrupt_tenant = to_int(v);
-      } else if (arg == "--serve-ticks") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.serve_ticks = to_u64(v);
-      } else if (arg == "--chunk-bytes") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.chunk_bytes = to_u64(v);
-      } else if (arg == "--max-sessions") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.max_sessions = to_int(v);
-      } else if (arg == "--queue-bytes") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.queue_bytes = to_u64(v);
-      } else if (arg == "--session-budget") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) {
-          opt.session_budget_bytes = to_u64(v);
-        }
-      } else if (arg == "--total-budget") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.total_budget_bytes = to_u64(v);
-      } else if (arg == "--deadline-events") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.deadline_events = to_u64(v);
-      } else if (arg == "--drift-threshold") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.drift_threshold = to_double(v);
-      } else if (arg == "--window-pages") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.window_pages = to_int(v);
-      } else if (arg == "--sweep-every") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.sweep_every = to_u64(v);
-      } else if (arg == "--serve-out") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.serve_out = v;
       } else if (arg == "--obs-level") {
         if (const char* v = next_value()) opt.obs_level = v;
       } else if (arg == "--trace-out") {
@@ -453,13 +373,9 @@ CliOptions parse_cli(int argc, const char* const* argv) {
     opt.error = opt.command + " needs --out/--in DIR";
   }
   if (opt.error.empty() && opt.command != "suite" &&
-      opt.command != "serve" &&
       (!opt.checkpoint_dir.empty() || opt.checkpoint_every_events > 0 ||
        opt.resume)) {
-    opt.error = "checkpoint/resume flags only apply to suite and serve";
-  }
-  if (opt.error.empty() && serve_flag_used && opt.command != "serve") {
-    opt.error = "mapping-service flags only apply to serve";
+    opt.error = "checkpoint/resume flags only apply to suite";
   }
   if (opt.error.empty() && dynamic_flag_used && opt.command != "dynamic") {
     opt.error = "online-mapper flags only apply to dynamic";
@@ -471,17 +387,6 @@ CliOptions parse_cli(int argc, const char* const* argv) {
       opt.online.validate();
     } catch (const std::exception& e) {
       opt.error = e.what();
-    }
-  }
-  if (opt.error.empty() && opt.command == "serve") {
-    if (opt.tenants < 1) opt.error = "tenants must be positive";
-    if (opt.chunk_bytes == 0) opt.error = "chunk-bytes must be positive";
-    if (opt.max_sessions < 1) opt.error = "max-sessions must be positive";
-    if (opt.corrupt_tenant >= opt.tenants) {
-      opt.error = "corrupt-tenant index past the tenant fleet";
-    }
-    if (opt.drift_threshold < 0.0 || opt.drift_threshold > 1.0) {
-      opt.error = "drift-threshold must be in [0, 1]";
     }
   }
   if (opt.error.empty() && opt.checkpoint_dir.empty() &&
@@ -515,7 +420,6 @@ MachineConfig machine_for(const CliOptions& opt) {
   if (opt.cores_per_socket > 0) machine.cores_per_socket = opt.cores_per_socket;
   if (opt.cores_per_l2 > 0) machine.cores_per_l2 = opt.cores_per_l2;
   machine.socket_mesh_cols = opt.mesh_cols;
-  machine.coherence_broadcast = opt.coherence_broadcast;
   machine.fault = opt.fault;
   machine.watchdog_max_events = opt.watchdog_events;
   // Surface inconsistent overrides (indivisible geometry, mesh shape) as a
@@ -551,7 +455,6 @@ Pipeline make_pipeline(const CliOptions& opt, obs::ObsContext* obs) {
   const SuiteConfig defaults;  // trace-scaled detector knobs
   pipe.sm_config() = defaults.sm;
   pipe.hm_config() = defaults.hm;
-  pipe.hm_config().naive_sweep = opt.hm_naive_sweep;
   pipe.mapping_config() = mapping_for(opt);
   pipe.set_observability(obs);
   pipe.set_metrics_interval_events(opt.metrics_interval_events);
@@ -645,8 +548,6 @@ int cmd_suite(const CliOptions& opt, obs::ObsContext* obs) {
   config.mapping = mapping_for(opt);
   config.repetitions = opt.reps;
   config.base_seed = opt.seed;
-  // Bit-identical to the indexed sweep, so the cache key ignores it.
-  config.hm.naive_sweep = opt.hm_naive_sweep;
   if (!opt.apps.empty()) config.apps = opt.apps;
   config.checkpoint_dir = opt.checkpoint_dir;
   config.checkpoint_every_events = opt.checkpoint_every_events;
@@ -710,61 +611,6 @@ int cmd_replay(const CliOptions& opt, obs::ObsContext* obs) {
   const MachineStats s = pipe.evaluate(workload, mapping, opt.seed);
   print_stats_row("replay", s);
   return 0;
-}
-
-int cmd_serve(const CliOptions& opt, obs::ObsContext* obs) {
-  svc::ServeOptions serve;
-  serve.service.machine = machine_for(opt);
-  serve.service.mapping = mapping_for(opt);
-  serve.service.max_sessions = opt.max_sessions;
-  serve.service.session.queue_bytes = opt.queue_bytes;
-  serve.service.session.budget_bytes = opt.session_budget_bytes;
-  serve.service.session.deadline_events = opt.deadline_events;
-  serve.service.total_budget_bytes = opt.total_budget_bytes;
-  serve.service.cache.drift_threshold = opt.drift_threshold;
-  serve.service.detector.window_pages = opt.window_pages;
-  serve.service.detector.sweep_every = opt.sweep_every;
-  serve.tenants = opt.tenants;
-  serve.threads = opt.threads;
-  serve.app = opt.app;
-  serve.size_scale = opt.size_scale;
-  serve.iter_scale = opt.iter_scale;
-  serve.seed = opt.seed;
-  serve.chunk_bytes = opt.chunk_bytes;
-  serve.max_ticks = opt.serve_ticks;
-  serve.corrupt_tenant = opt.corrupt_tenant;
-  serve.report_out = opt.serve_out;
-  if (!opt.checkpoint_dir.empty()) {
-    serve.checkpoint_path = opt.checkpoint_dir + "/service.ckpt";
-    serve.resume = opt.resume;
-    // Same clean-shutdown contract as the suite: the first SIGINT/SIGTERM
-    // stops the loop at a tick boundary and the service checkpoints.
-    install_shutdown_handlers();
-  }
-  const svc::ServeOutcome result = svc::run_serve(serve, &std::cerr, obs);
-  if (!result.error.empty()) {
-    std::printf("error: %s\n", result.error.c_str());
-    return result.exit_code;
-  }
-  for (const svc::TenantOutcome& t : result.tenants) {
-    std::printf("%-12s session %-4llu %-12s events %-10llu",
-                t.tenant.c_str(), static_cast<unsigned long long>(t.session),
-                svc::to_string(t.status),
-                static_cast<unsigned long long>(t.events));
-    if (t.has_decision) {
-      std::printf(" epoch %llu%s mapping %s\n",
-                  static_cast<unsigned long long>(t.epoch),
-                  t.degraded ? " (degraded)" : "",
-                  to_string(t.mapping).c_str());
-    } else {
-      std::printf(" (no decision)\n");
-    }
-  }
-  std::printf("%llu ticks, %llu events, %zu quarantined/shed\n",
-              static_cast<unsigned long long>(result.ticks),
-              static_cast<unsigned long long>(result.events),
-              result.quarantines.size());
-  return result.exit_code;
 }
 
 }  // namespace
@@ -867,9 +713,6 @@ int run_cli(const CliOptions& options) {
                 cli_usage().c_str());
     return 2;
   }
-  // Process-wide A/B switch: every Tlb/Cache lookup and HM sweep from here
-  // on uses the scalar reference walks when requested.
-  set_simd_scan_enabled(!options.scalar_scan);
   const obs::SelfProfiler profiler;
   obs::ObsContext ctx;
   ctx.level =
@@ -884,7 +727,6 @@ int run_cli(const CliOptions& options) {
     else if (options.command == "suite") code = cmd_suite(options, obs);
     else if (options.command == "record") code = cmd_record(options);
     else if (options.command == "replay") code = cmd_replay(options, obs);
-    else if (options.command == "serve") code = cmd_serve(options, obs);
   } catch (const std::exception& e) {
     std::printf("error: %s\n", e.what());
     code = 1;

@@ -10,7 +10,6 @@
 //   suite    [--apps BT,SP,...] [--reps N]        figure-6 style table
 //   record   --app SP --out DIR                   capture a trace
 //   replay   --in DIR [--mapping ...]             run a captured trace
-//   serve    [--tenants N] [--corrupt-tenant K]   mapping-service daemon
 // Common: --size-scale X --iter-scale X --seed N --threads N --numa
 #pragma once
 
@@ -45,16 +44,6 @@ struct CliOptions {
   int mesh_cols = 0;
   /// --mapping-strategy: auto | edmonds | greedy | multisection.
   std::string mapping_strategy = "auto";
-  /// Run the HM detector's sweep with the reference O(P^2) pairwise walk
-  /// instead of the inverted page index. Both produce bit-identical
-  /// matrices; the naive path exists for A/B benchmarking and as a
-  /// cross-check of the fast path.
-  bool hm_naive_sweep = false;
-  /// Resolve coherence probes with the reference walked broadcast instead
-  /// of the line-occupancy directory. Same contract as --hm-naive-sweep:
-  /// bit-identical statistics, kept for A/B benchmarking and as a
-  /// cross-check of the fast path.
-  bool coherence_broadcast = false;
   /// Seeded fault-injection plan assembled from the --fault-* flags
   /// (DESIGN.md Sec. 11). Default-disabled: without any --fault-* flag the
   /// pipeline is bit-identical to a faultless build.
@@ -71,11 +60,6 @@ struct CliOptions {
   /// --epoch-events: events each shard issues per epoch between
   /// cross-domain reductions. Only meaningful with --machine-workers.
   std::uint64_t epoch_events = 2048;
-  /// --scalar-scan: run TLB/cache set lookups and the HM sweep with the
-  /// reference scalar walks instead of the SIMD tag-scan kernels. Same
-  /// contract as --hm-naive-sweep: bit-identical results, kept for A/B
-  /// benchmarking and as a cross-check of the fast path.
-  bool scalar_scan = false;
   std::vector<std::string> apps;  ///< suite only; empty = all nine
   Mapping mapping;                ///< evaluate/replay; empty = detect+map
   std::string dir;                ///< record --out / replay --in
@@ -87,23 +71,6 @@ struct CliOptions {
   /// surface through OnlineMapperConfig::validate() as structured parse
   /// errors.
   OnlineMapperConfig online{};
-  // Mapping-service daemon (serve only; DESIGN.md Sec. 16). Tenant streams
-  // are synthetic NPB recordings; --corrupt-tenant injects deterministic
-  // stream corruption into one of them, which must quarantine exactly that
-  // session while every other tenant's outcome stays bit-identical.
-  int tenants = 4;                ///< --tenants: synthetic tenant fleet size
-  int corrupt_tenant = -1;        ///< --corrupt-tenant: index or -1 = none
-  std::uint64_t serve_ticks = 0;  ///< --serve-ticks: tick cap (0 = drain)
-  std::uint64_t chunk_bytes = 512;  ///< --chunk-bytes: feed fragment size
-  int max_sessions = 64;          ///< --max-sessions: admission cap
-  std::uint64_t queue_bytes = 64 * 1024;  ///< --queue-bytes: per session
-  std::uint64_t session_budget_bytes = 8 * 1024 * 1024;  ///< --session-budget
-  std::uint64_t total_budget_bytes = 64 * 1024 * 1024;   ///< --total-budget
-  std::uint64_t deadline_events = 8192;   ///< --deadline-events: pump slice
-  double drift_threshold = 0.90;  ///< --drift-threshold: re-match trigger
-  int window_pages = 64;          ///< --window-pages: stream detector LRU
-  std::uint64_t sweep_every = 4096;  ///< --sweep-every: stream sweep cadence
-  std::string serve_out;          ///< --serve-out: JSON report path
   // Crash safety (suite only, DESIGN.md Sec. 12). With --checkpoint-dir
   // set, SIGINT/SIGTERM handlers are installed, progress is checkpointed
   // as tasks complete, and an interrupted suite exits with code 130;

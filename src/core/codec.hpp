@@ -1,11 +1,9 @@
-// Little-endian binary payload codec shared by every sealed-envelope
-// consumer (DESIGN.md Secs. 12 and 16).
+// Little-endian binary payload codec behind the sealed checkpoint envelope
+// (DESIGN.md Sec. 12).
 //
-// Extracted from checkpoint.cpp when the mapping service grew its own
-// session-state payloads: the suite checkpoint, the detector/mapper state
-// snapshots and the service session codecs all write the same fixed-width
-// little-endian fields and want the same sticky-error decode discipline,
-// so the writer/reader pair lives here once.
+// The suite checkpoint and the detector/mapper state snapshots all write
+// the same fixed-width little-endian fields and want the same sticky-error
+// decode discipline, so the writer/reader pair lives here once.
 //
 // BinReader's error handling is deliberately "sticky": the first failure
 // records a structured Error carrying the byte offset where the damage was
@@ -45,16 +43,11 @@ class BinWriter {
   std::string out_;
 };
 
-/// Little-endian payload reader with a sticky structured error. `code` and
-/// `context` shape the recorded Error: the checkpoint layer reports
-/// kCorruptCheckpoint/"checkpoint payload", the service layer
-/// kCorruptCheckpoint/"session payload".
+/// Little-endian payload reader with a sticky structured error: the first
+/// failure is recorded as kCorruptCheckpoint.
 class BinReader {
  public:
-  explicit BinReader(std::string_view data,
-                     ErrorCode code = ErrorCode::kCorruptCheckpoint,
-                     std::string context = "checkpoint payload")
-      : data_(data), code_(code), context_(std::move(context)) {}
+  explicit BinReader(std::string_view data) : data_(data) {}
 
   std::uint32_t u32() {
     if (!need(4, "u32")) return 0;
@@ -101,8 +94,9 @@ class BinReader {
   /// decode stood when the damage was noticed.
   void fail(const std::string& what) {
     if (!err_) {
-      err_ = Error{code_, context_ + ": " + what + " at byte " +
-                             std::to_string(pos_)};
+      err_ = Error{ErrorCode::kCorruptCheckpoint,
+                   "checkpoint payload: " + what + " at byte " +
+                       std::to_string(pos_)};
     }
   }
 
@@ -118,8 +112,6 @@ class BinReader {
 
   std::string_view data_;
   std::size_t pos_ = 0;
-  ErrorCode code_;
-  std::string context_;
   std::optional<Error> err_;
 };
 

@@ -73,9 +73,10 @@ struct OnlineMapperConfig {
   bool rollback = true;
   /// Damping of repeated rollbacks within one phase: after the k-th
   /// rollback since the current phase epoch began, migrations are blocked
-  /// for delay(k) further remap decisions (capped exponential; jitter off
-  /// keeps decisions bit-reproducible). A new phase epoch resets the
-  /// counter — a genuine phase change deserves a fresh chance to move.
+  /// for delay(k) further remap decisions (capped exponential, a pure
+  /// function of k, so decisions stay bit-reproducible). A new phase epoch
+  /// resets the counter — a genuine phase change deserves a fresh chance
+  /// to move.
   RetryPolicy rollback_backoff{/*max_attempts=*/8, /*base_delay=*/1,
                                /*factor=*/2};
   /// Phase-epoch detection over the clean (un-decayed, fault-free) matrix

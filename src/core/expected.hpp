@@ -34,10 +34,6 @@ enum class ErrorCode {
   kCorruptCheckpoint,     ///< checkpoint bytes fail magic/version/CRC checks
   kCheckpointMismatch,    ///< checkpoint is valid but for another config
   kCorruptTrace,          ///< trace record decodes to an impossible value
-  kAdmissionRejected,     ///< service at capacity: new session refused
-  kBackpressure,          ///< session ingest queue full: retry later
-  kSessionQuarantined,    ///< session fault-isolated; reason inside
-  kSaturatedMatrix,       ///< comm matrix pinned at its counter ceiling
 };
 
 inline const char* to_string(ErrorCode code) {
@@ -55,10 +51,6 @@ inline const char* to_string(ErrorCode code) {
     case ErrorCode::kCorruptCheckpoint: return "corrupt_checkpoint";
     case ErrorCode::kCheckpointMismatch: return "checkpoint_mismatch";
     case ErrorCode::kCorruptTrace: return "corrupt_trace";
-    case ErrorCode::kAdmissionRejected: return "admission_rejected";
-    case ErrorCode::kBackpressure: return "backpressure";
-    case ErrorCode::kSessionQuarantined: return "session_quarantined";
-    case ErrorCode::kSaturatedMatrix: return "saturated_matrix";
   }
   return "unknown";
 }

@@ -5,8 +5,7 @@
 // current phase began:
 //
 //   1. matrix drift — cosine similarity between the live communication
-//      matrix and the phase-reference matrix (the same drift machinery the
-//      service's DecisionCache uses to trigger re-matching);
+//      matrix and the phase-reference matrix;
 //   2. per-thread TLB miss-rate deltas — a thread whose miss rate moved by
 //      more than `miss_rate_delta` (relative) between the reference window
 //      and the current window changed its working set even if the pairwise

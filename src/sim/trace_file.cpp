@@ -1,7 +1,7 @@
 #include "sim/trace_file.hpp"
 
+#include <algorithm>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -149,226 +149,20 @@ TraceEvent TraceReader::next() {
   if (done_ || pos_ >= bytes_.size()) return TraceEvent::make_end();
   const std::size_t record_start = pos_;
   const std::uint8_t header = bytes_[pos_++];
-  ++records_;
-  if (header == kBarrier) return TraceEvent::make_barrier();
-  if (header == kEnd) {
-    done_ = true;
-    return TraceEvent::make_end();
-  }
-  if ((header & kAccess) == 0) {
-    throw TraceFormatError(
-        ErrorCode::kMalformedTrace,
-        "TraceReader: bad record header 0x" + [&] {
-          std::ostringstream hex;
-          hex << std::hex << static_cast<int>(header);
-          return hex.str();
-        }(),
-        record_start, records_ - 1);
-  }
-  const std::uint64_t raw = get_varint();
-  VirtAddr addr;
-  if ((header & kFlagAddrDelta) != 0) {
-    addr = static_cast<VirtAddr>(static_cast<std::int64_t>(last_addr_) +
-                                 zigzag_decode(raw));
-  } else {
-    addr = raw;
-  }
-  last_addr_ = addr;
-  std::uint32_t gap = 0;
-  if ((header & kFlagHasGap) != 0) {
-    const std::uint64_t raw_gap = get_varint();
-    // Oversized gap: the writer emits at most 32 bits, so a wider value is
-    // stream damage. Truncating it silently (the pre-hardening behaviour)
-    // would replay a corrupt trace as a subtly different workload.
-    if (raw_gap > 0xffffffffull) {
-      throw TraceFormatError(ErrorCode::kCorruptTrace,
-                             "TraceReader: compute gap out of range", pos_,
-                             records_ - 1);
-    }
-    gap = static_cast<std::uint32_t>(raw_gap);
-  }
-  const AccessType type = (header & kFlagWrite) != 0 ? AccessType::kWrite
-                                                     : AccessType::kRead;
-  return TraceEvent::make_access(addr, type, gap);
-}
-
-Expected<TraceStats> validate_trace(const std::vector<std::uint8_t>& bytes) {
-  TraceStats stats;
-  stats.bytes = bytes.size();
-  std::size_t pos = 0;
-  std::uint64_t record = 0;
-  auto fail = [&](ErrorCode code, const std::string& what,
-                  std::size_t offset) {
-    return Error{code, format_trace_error(what, offset, record)};
-  };
-  if (bytes.size() < 5) {
-    return fail(ErrorCode::kTruncatedTrace,
-                "validate_trace: bad header (buffer too short)",
-                bytes.size());
-  }
-  if (!std::equal(kMagic, kMagic + 4, bytes.begin())) {
-    return fail(ErrorCode::kMalformedTrace,
-                "validate_trace: bad header (magic mismatch)", 0);
-  }
-  if (bytes[4] != kVersion) {
-    return fail(ErrorCode::kMalformedTrace,
-                "validate_trace: bad header (unsupported version " +
-                    std::to_string(static_cast<int>(bytes[4])) + ")",
-                4);
-  }
-  pos = 5;
-  // read_varint fills *value and returns an empty optional on success, else
-  // the structured failure.
-  auto read_varint = [&](std::uint64_t* value) -> std::optional<Error> {
-    *value = 0;
-    int shift = 0;
-    while (pos < bytes.size()) {
-      const std::uint8_t byte = bytes[pos++];
-      *value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) return std::nullopt;
-      shift += 7;
-      if (shift > 63) {
-        return fail(ErrorCode::kMalformedTrace,
-                    "validate_trace: overlong varint", pos);
-      }
-    }
-    return fail(ErrorCode::kTruncatedTrace, "validate_trace: truncated varint",
-                pos);
-  };
-  while (pos < bytes.size()) {
-    const std::size_t record_start = pos;
-    const std::uint8_t header = bytes[pos++];
-    if (header == kBarrier) {
-      ++stats.barriers;
-      ++stats.records;
-      ++record;
-      continue;
-    }
-    if (header == kEnd) {
-      ++stats.records;
-      stats.explicit_end = true;
-      if (pos != bytes.size()) {
-        return fail(ErrorCode::kMalformedTrace,
-                    "validate_trace: trailing bytes after end marker", pos);
-      }
-      return stats;
-    }
-    if ((header & kAccess) == 0) {
-      std::ostringstream hex;
-      hex << std::hex << static_cast<int>(header);
-      return fail(ErrorCode::kMalformedTrace,
-                  "validate_trace: bad record header 0x" + hex.str(),
-                  record_start);
-    }
-    std::uint64_t value = 0;
-    if (auto err = read_varint(&value)) return *err;
-    if ((header & kFlagHasGap) != 0) {
-      const std::size_t gap_at = pos;
-      if (auto err = read_varint(&value)) return *err;
-      if (value > 0xffffffffull) {
-        return fail(ErrorCode::kCorruptTrace,
-                    "validate_trace: compute gap out of range", gap_at);
-      }
-    }
-    ++stats.accesses;
-    ++stats.records;
-    ++record;
-  }
-  // EOF without an end marker replays fine (the reader synthesises kEnd),
-  // but a validator flags it: a writer always emits 0x01, so its absence
-  // means the tail of the file was lost.
-  return fail(ErrorCode::kTruncatedTrace,
-              "validate_trace: missing end marker (file truncated)", pos);
-}
-
-void TraceStreamDecoder::feed(const std::uint8_t* data, std::size_t size) {
-  if (size == 0) return;
-  // Compact once the decoded prefix dominates the buffer, so a long-lived
-  // session holds only the undecoded tail (the service's memory accounting
-  // charges buffered_bytes(), which this keeps honest).
-  if (head_ > 4096 && head_ > buffer_.size() - head_) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
-  }
-  buffer_.insert(buffer_.end(), data, data + size);
-}
-
-Expected<TraceStreamDecoder::Status> TraceStreamDecoder::next(
-    TraceEvent* out) {
-  if (failed_) return *failed_;
-  if (done_) return Status::kEnd;
-  auto fail = [&](ErrorCode code, const std::string& what,
-                  std::uint64_t offset) -> Error {
-    failed_ = Error{code, format_trace_error(what, offset, records_)};
-    return *failed_;
-  };
-  if (!header_done_) {
-    if (buffer_.size() - head_ < 5) return Status::kNeedMore;
-    if (!std::equal(kMagic, kMagic + 4,
-                    buffer_.begin() + static_cast<std::ptrdiff_t>(head_))) {
-      return fail(ErrorCode::kMalformedTrace,
-                  "TraceStreamDecoder: bad header (magic mismatch)",
-                  consumed_);
-    }
-    if (buffer_[head_ + 4] != kVersion) {
-      return fail(
-          ErrorCode::kMalformedTrace,
-          "TraceStreamDecoder: bad header (unsupported version " +
-              std::to_string(static_cast<int>(buffer_[head_ + 4])) + ")",
-          consumed_ + 4);
-    }
-    head_ += 5;
-    consumed_ += 5;
-    header_done_ = true;
-  }
-  // Decode against a local cursor; nothing is consumed until the whole
-  // record fits, so a fragment boundary inside a record is invisible.
-  std::size_t p = head_;
-  if (p >= buffer_.size()) return Status::kNeedMore;
-  const std::uint64_t record_offset = consumed_;
-  const std::uint8_t header = buffer_[p++];
-  enum class Varint { kOk, kNeedMore, kOverlong };
-  auto get_varint = [&](std::uint64_t* value) {
-    *value = 0;
-    int shift = 0;
-    while (p < buffer_.size()) {
-      const std::uint8_t byte = buffer_[p++];
-      *value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) return Varint::kOk;
-      shift += 7;
-      if (shift > 63) return Varint::kOverlong;
-    }
-    return Varint::kNeedMore;
-  };
-  auto varint_offset = [&]() {
-    return consumed_ + static_cast<std::uint64_t>(p - head_);
-  };
   TraceEvent event;
   if (header == kBarrier) {
     event = TraceEvent::make_barrier();
   } else if (header == kEnd) {
     done_ = true;
-    head_ = p;
-    ++consumed_;
-    ++records_;
-    if (out != nullptr) *out = TraceEvent::make_end();
-    return Status::kEnd;
+    event = TraceEvent::make_end();
   } else if ((header & kAccess) == 0) {
     std::ostringstream hex;
     hex << std::hex << static_cast<int>(header);
-    return fail(ErrorCode::kMalformedTrace,
-                "TraceStreamDecoder: bad record header 0x" + hex.str(),
-                record_offset);
+    throw TraceFormatError(ErrorCode::kMalformedTrace,
+                           "TraceReader: bad record header 0x" + hex.str(),
+                           record_start, records_);
   } else {
-    std::uint64_t raw = 0;
-    switch (get_varint(&raw)) {
-      case Varint::kNeedMore: return Status::kNeedMore;
-      case Varint::kOverlong:
-        return fail(ErrorCode::kMalformedTrace,
-                    "TraceStreamDecoder: overlong varint", varint_offset());
-      case Varint::kOk: break;
-    }
+    const std::uint64_t raw = get_varint();
     VirtAddr addr;
     if ((header & kFlagAddrDelta) != 0) {
       addr = static_cast<VirtAddr>(static_cast<std::int64_t>(last_addr_) +
@@ -376,58 +170,64 @@ Expected<TraceStreamDecoder::Status> TraceStreamDecoder::next(
     } else {
       addr = raw;
     }
+    last_addr_ = addr;
     std::uint32_t gap = 0;
     if ((header & kFlagHasGap) != 0) {
-      std::uint64_t raw_gap = 0;
-      switch (get_varint(&raw_gap)) {
-        case Varint::kNeedMore: return Status::kNeedMore;
-        case Varint::kOverlong:
-          return fail(ErrorCode::kMalformedTrace,
-                      "TraceStreamDecoder: overlong varint", varint_offset());
-        case Varint::kOk: break;
-      }
+      const std::uint64_t raw_gap = get_varint();
+      // Oversized gap: the writer emits at most 32 bits, so a wider value is
+      // stream damage. Truncating it silently would replay a corrupt trace
+      // as a subtly different workload.
       if (raw_gap > 0xffffffffull) {
-        return fail(ErrorCode::kCorruptTrace,
-                    "TraceStreamDecoder: compute gap out of range",
-                    varint_offset());
+        throw TraceFormatError(ErrorCode::kCorruptTrace,
+                               "TraceReader: compute gap out of range", pos_,
+                               records_);
       }
       gap = static_cast<std::uint32_t>(raw_gap);
     }
-    // Commit only now: last_addr_ advances with the record, never before.
-    last_addr_ = addr;
     event = TraceEvent::make_access(
         addr, (header & kFlagWrite) != 0 ? AccessType::kWrite
                                          : AccessType::kRead,
         gap);
   }
-  consumed_ += static_cast<std::uint64_t>(p - head_);
-  head_ = p;
   ++records_;
-  if (out != nullptr) *out = event;
-  return Status::kEvent;
+  return event;
 }
 
-TraceStreamDecoder::State TraceStreamDecoder::state() const {
-  State s;
-  s.pending.assign(buffer_.begin() + static_cast<std::ptrdiff_t>(head_),
-                   buffer_.end());
-  s.consumed = consumed_;
-  s.last_addr = last_addr_;
-  s.records = records_;
-  s.header_done = header_done_;
-  s.done = done_;
-  return s;
-}
-
-void TraceStreamDecoder::restore(const State& state) {
-  buffer_ = state.pending;
-  head_ = 0;
-  consumed_ = state.consumed;
-  last_addr_ = state.last_addr;
-  records_ = state.records;
-  header_done_ = state.header_done;
-  done_ = state.done;
-  failed_.reset();
+Expected<TraceStats> validate_trace(const std::vector<std::uint8_t>& bytes) {
+  try {
+    TraceReader reader(bytes);
+    TraceStats stats;
+    stats.bytes = bytes.size();
+    for (TraceEvent ev = reader.next(); ev.kind != TraceEvent::Kind::kEnd;
+         ev = reader.next()) {
+      if (ev.kind == TraceEvent::Kind::kAccess) {
+        ++stats.accesses;
+      } else {
+        ++stats.barriers;
+      }
+    }
+    // EOF without an end marker replays fine (the reader synthesises kEnd),
+    // but a validator flags it: a writer always emits 0x01, so its absence
+    // means the tail of the file was lost.
+    if (!reader.explicit_end()) {
+      return TraceFormatError(
+                 ErrorCode::kTruncatedTrace,
+                 "validate_trace: missing end marker (file truncated)",
+                 reader.offset(), reader.records())
+          .to_error();
+    }
+    if (reader.offset() != bytes.size()) {
+      return TraceFormatError(ErrorCode::kMalformedTrace,
+                              "validate_trace: trailing bytes after end marker",
+                              reader.offset(), reader.records())
+          .to_error();
+    }
+    stats.records = reader.records();
+    stats.explicit_end = true;
+    return stats;
+  } catch (const TraceFormatError& e) {
+    return e.to_error();
+  }
 }
 
 std::vector<std::vector<std::uint8_t>> record_workload(

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -66,10 +65,12 @@ struct TraceStats {
   bool explicit_end = false;   ///< true if a 0x01 end marker was present
 };
 
-/// Walks a serialised buffer end to end without replaying it, returning
-/// either summary statistics or a structured error (kMalformedTrace /
-/// kTruncatedTrace) whose message pins the byte offset and record index.
-/// Never throws.
+/// Walks a serialised buffer end to end through a TraceReader without
+/// replaying it, returning either summary statistics or the reader's
+/// structured error (kMalformedTrace / kTruncatedTrace / kCorruptTrace)
+/// whose message pins the byte offset and record index. Stricter than
+/// replay at the end of the stream: a missing end marker or bytes after it
+/// are errors too. Never throws.
 Expected<TraceStats> validate_trace(const std::vector<std::uint8_t>& bytes);
 
 /// Serialises one thread's events into a byte buffer.
@@ -93,15 +94,24 @@ class TraceWriter {
   bool finished_ = false;
 };
 
-/// Replays a serialised buffer as a ThreadStream.
+/// Replays a serialised buffer as a ThreadStream. The one TLBT decoder:
+/// replay, RecordedWorkload and validate_trace() all read through it.
 class TraceReader final : public ThreadStream {
  public:
   /// Throws TraceFormatError (a std::invalid_argument) on a bad header.
   explicit TraceReader(std::vector<std::uint8_t> bytes);
 
-  /// Throws TraceFormatError on a malformed or truncated record; the error
-  /// message names the byte offset and record index of the failure.
+  /// Throws TraceFormatError on a malformed, truncated or corrupt record;
+  /// the error message names the byte offset and record index of the
+  /// failure. EOF without an end marker reads as kEnd.
   TraceEvent next() override;
+
+  /// Byte position of the next record.
+  std::size_t offset() const { return pos_; }
+  /// Records decoded so far (the end marker included once read).
+  std::uint64_t records() const { return records_; }
+  /// True once the 0x01 end marker has been read (not just EOF).
+  bool explicit_end() const { return done_; }
 
  private:
   std::uint64_t get_varint();
@@ -111,68 +121,6 @@ class TraceReader final : public ThreadStream {
   VirtAddr last_addr_ = 0;
   std::uint64_t records_ = 0;
   bool done_ = false;
-};
-
-/// Incremental, non-throwing TLBT decoder for byte streams that arrive in
-/// arbitrary chunks — the mapping service's ingest path (DESIGN.md
-/// Sec. 16). Unlike TraceReader it never owns a whole buffer: callers
-/// feed() fragments as they arrive and drain complete records with next();
-/// a record split across chunks simply reports kNeedMore until its bytes
-/// land. All errors are structured (never thrown) and carry the absolute
-/// byte offset in the stream, using the same taxonomy as validate_trace()
-/// plus kCorruptTrace for records that decode to impossible values.
-class TraceStreamDecoder {
- public:
-  enum class Status {
-    kEvent,     ///< one record decoded into *out
-    kNeedMore,  ///< buffered bytes end mid-record; feed() more
-    kEnd,       ///< explicit end marker reached (terminal)
-  };
-
-  /// Serializable decoder position (service session checkpoints): the
-  /// undecoded tail plus the cursors that make decoding resumable.
-  struct State {
-    std::vector<std::uint8_t> pending;  ///< fed but not yet decoded bytes
-    std::uint64_t consumed = 0;         ///< absolute offset of pending[0]
-    VirtAddr last_addr = 0;
-    std::uint64_t records = 0;
-    bool header_done = false;
-    bool done = false;
-
-    bool operator==(const State&) const = default;
-  };
-
-  /// Appends raw stream bytes (any fragment size, including zero).
-  void feed(const std::uint8_t* data, std::size_t size);
-  void feed(const std::vector<std::uint8_t>& bytes) {
-    feed(bytes.data(), bytes.size());
-  }
-
-  /// Decodes the next complete record. On kEvent, *out holds it. A
-  /// malformed/truncated/corrupt stream returns the structured error and
-  /// the decoder stays failed (every later call repeats the error).
-  Expected<Status> next(TraceEvent* out);
-
-  /// Bytes fed but not yet consumed by next().
-  std::size_t buffered_bytes() const { return buffer_.size() - head_; }
-  /// Absolute offset of the next byte next() will look at.
-  std::uint64_t offset() const { return consumed_; }
-  std::uint64_t records() const { return records_; }
-  bool finished() const { return done_; }
-
-  /// Copies out / restores the decoder position (checkpoint support).
-  State state() const;
-  void restore(const State& state);
-
- private:
-  std::vector<std::uint8_t> buffer_;
-  std::size_t head_ = 0;           ///< buffer_[head_..] is undecoded
-  std::uint64_t consumed_ = 0;     ///< absolute offset of buffer_[head_]
-  VirtAddr last_addr_ = 0;
-  std::uint64_t records_ = 0;
-  bool header_done_ = false;
-  bool done_ = false;
-  std::optional<Error> failed_;  ///< sticky: set once, repeated forever
 };
 
 /// Records every stream of `workload` (at `seed`) into per-thread buffers.

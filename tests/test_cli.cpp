@@ -30,6 +30,8 @@ TEST(Cli, UnknownCommand) {
   const CliOptions opt = parse({"frobnicate"});
   EXPECT_FALSE(opt.ok());
   EXPECT_NE(opt.error.find("frobnicate"), std::string::npos);
+  // There is no mapping-service daemon.
+  EXPECT_EQ(parse({"serve"}).error, "unknown command: serve");
 }
 
 TEST(Cli, DefaultsApplied) {
@@ -91,7 +93,13 @@ TEST(Cli, RecordNeedsDir) {
 }
 
 TEST(Cli, UnknownOptionRejected) {
-  EXPECT_FALSE(parse({"detect", "--frobnicate"}).ok());
+  // The reference HM sweep, broadcast coherence and scalar scans are test
+  // oracles, not user options.
+  for (const char* flag : {"--frobnicate", "--hm-naive-sweep",
+                           "--coherence-broadcast", "--scalar-scan"}) {
+    EXPECT_EQ(parse({"detect", flag}).error,
+              std::string("unknown option: ") + flag);
+  }
 }
 
 TEST(Cli, ObsFlagsParsed) {
@@ -211,7 +219,8 @@ TEST(Cli, OnlineMapperFlagsOnlyApplyToDynamic) {
   EXPECT_FALSE(parse({"evaluate", "--canary-barriers", "2"}).ok());
   EXPECT_FALSE(parse({"suite", "--remap-every-barriers", "2"}).ok());
   EXPECT_FALSE(parse({"detect", "--no-rollback"}).ok());
-  const CliOptions wrong = parse({"serve", "--migration-cooldown", "0"});
+  const CliOptions wrong =
+      parse({"replay", "--in", "/tmp/rec", "--migration-cooldown", "0"});
   EXPECT_FALSE(wrong.ok());
   EXPECT_NE(wrong.error.find("dynamic"), std::string::npos);
 }
@@ -236,6 +245,8 @@ TEST(Cli, CheckpointFlagsValidated) {
   // The crash-safety flags only make sense for the suite command...
   EXPECT_FALSE(parse({"detect", "--checkpoint-dir", "/tmp/ckpt"}).ok());
   EXPECT_FALSE(parse({"evaluate", "--resume"}).ok());
+  EXPECT_EQ(parse({"dynamic", "--checkpoint-dir", "/tmp/ckpt"}).error,
+            "checkpoint/resume flags only apply to suite");
   // ...and resume/cadence without a checkpoint directory is a usage error.
   EXPECT_FALSE(parse({"suite", "--resume"}).ok());
   EXPECT_FALSE(parse({"suite", "--checkpoint-every-events", "1000"}).ok());
@@ -243,64 +254,6 @@ TEST(Cli, CheckpointFlagsValidated) {
   EXPECT_FALSE(parse({"suite", "--checkpoint-dir", "/tmp/ckpt",
                       "--checkpoint-every-events", "soon"})
                    .ok());
-}
-
-TEST(Cli, ServeFlagsParsed) {
-  const CliOptions opt = parse(
-      {"serve", "--tenants", "6", "--corrupt-tenant", "2", "--serve-ticks",
-       "200", "--chunk-bytes", "256", "--max-sessions", "12",
-       "--queue-bytes", "32768", "--session-budget", "1048576",
-       "--total-budget", "8388608", "--deadline-events", "1024",
-       "--drift-threshold", "0.8", "--window-pages", "32", "--sweep-every",
-       "512", "--serve-out", "/tmp/report.json"});
-  ASSERT_TRUE(opt.ok()) << opt.error;
-  EXPECT_EQ(opt.command, "serve");
-  EXPECT_EQ(opt.tenants, 6);
-  EXPECT_EQ(opt.corrupt_tenant, 2);
-  EXPECT_EQ(opt.serve_ticks, 200u);
-  EXPECT_EQ(opt.chunk_bytes, 256u);
-  EXPECT_EQ(opt.max_sessions, 12);
-  EXPECT_EQ(opt.queue_bytes, 32768u);
-  EXPECT_EQ(opt.session_budget_bytes, 1048576u);
-  EXPECT_EQ(opt.total_budget_bytes, 8388608u);
-  EXPECT_EQ(opt.deadline_events, 1024u);
-  EXPECT_DOUBLE_EQ(opt.drift_threshold, 0.8);
-  EXPECT_EQ(opt.window_pages, 32);
-  EXPECT_EQ(opt.sweep_every, 512u);
-  EXPECT_EQ(opt.serve_out, "/tmp/report.json");
-
-  const CliOptions defaults = parse({"serve"});
-  ASSERT_TRUE(defaults.ok()) << defaults.error;
-  EXPECT_EQ(defaults.tenants, 4);
-  EXPECT_EQ(defaults.corrupt_tenant, -1);  // -1 = no fault injection
-  EXPECT_EQ(defaults.serve_ticks, 0u);     // 0 = run until drained
-  EXPECT_TRUE(defaults.serve_out.empty());
-}
-
-TEST(Cli, ServeFlagsValidated) {
-  EXPECT_FALSE(parse({"serve", "--tenants", "0"}).ok());
-  EXPECT_FALSE(parse({"serve", "--chunk-bytes", "0"}).ok());
-  EXPECT_FALSE(parse({"serve", "--max-sessions", "0"}).ok());
-  EXPECT_FALSE(parse({"serve", "--drift-threshold", "1.5"}).ok());
-  EXPECT_FALSE(parse({"serve", "--drift-threshold", "-0.1"}).ok());
-  // The injected fault must name one of the tenants that exist.
-  EXPECT_FALSE(
-      parse({"serve", "--tenants", "3", "--corrupt-tenant", "3"}).ok());
-  EXPECT_TRUE(
-      parse({"serve", "--tenants", "3", "--corrupt-tenant", "2"}).ok());
-  // Serve flags belong to serve.
-  EXPECT_FALSE(parse({"detect", "--tenants", "4"}).ok());
-}
-
-TEST(Cli, ServeAcceptsCheckpointFlags) {
-  // The crash-safety flags apply to the two long-running commands: the
-  // suite and the serve daemon.
-  const CliOptions opt =
-      parse({"serve", "--checkpoint-dir", "/tmp/svc", "--resume"});
-  ASSERT_TRUE(opt.ok()) << opt.error;
-  EXPECT_EQ(opt.checkpoint_dir, "/tmp/svc");
-  EXPECT_TRUE(opt.resume);
-  EXPECT_FALSE(parse({"serve", "--resume"}).ok());  // needs the dir
 }
 
 TEST(Cli, TopologyAndStrategyFlagsParsed) {
@@ -334,17 +287,15 @@ TEST(Cli, TopologyAndStrategyFlagsValidated) {
   }
 }
 
-TEST(Cli, ParallelAndScanFlagsParsed) {
+TEST(Cli, ParallelFlagsParsed) {
   const CliOptions opt = parse({"evaluate", "--machine-workers", "4",
-                                "--epoch-events", "512", "--scalar-scan"});
+                                "--epoch-events", "512"});
   ASSERT_TRUE(opt.ok()) << opt.error;
   EXPECT_EQ(opt.machine_workers, 4);
   EXPECT_EQ(opt.epoch_events, 512u);
-  EXPECT_TRUE(opt.scalar_scan);
   const CliOptions defaults = parse({"evaluate"});
   EXPECT_EQ(defaults.machine_workers, 0);
   EXPECT_EQ(defaults.epoch_events, 2048u);
-  EXPECT_FALSE(defaults.scalar_scan);
 }
 
 TEST(Cli, ParallelFlagsValidated) {
@@ -432,7 +383,7 @@ TEST(CliRun, DetectMapEvaluateSmoke) {
   EXPECT_EQ(run_cli(eval), 0);
 }
 
-TEST(CliRun, EvaluateRunsShardedAndScalarPaths) {
+TEST(CliRun, EvaluateRunsShardedPath) {
   // Epoch engine on the evaluate command; worker count is invisible in the
   // printed stats (asserted bit-exactly by test_parallel_machine — this is
   // the end-to-end flag plumbing check).
@@ -442,16 +393,6 @@ TEST(CliRun, EvaluateRunsShardedAndScalarPaths) {
              "--epoch-events", "256"});
   ASSERT_TRUE(sharded.ok()) << sharded.error;
   EXPECT_EQ(run_cli(sharded), 0);
-  CliOptions scalar =
-      parse({"evaluate", "--app", "EP", "--iter-scale", "0.2", "--reps", "1",
-             "--mapping", "0,1,2,3,4,5,6,7", "--scalar-scan"});
-  ASSERT_TRUE(scalar.ok()) << scalar.error;
-  EXPECT_EQ(run_cli(scalar), 0);
-  // run_cli sets the process-wide scan mode from its options each call;
-  // re-run without the flag so later tests see the default SIMD path.
-  CliOptions simd = parse({"evaluate", "--app", "EP", "--iter-scale", "0.2",
-                           "--reps", "1", "--mapping", "0,1,2,3,4,5,6,7"});
-  EXPECT_EQ(run_cli(simd), 0);
 }
 
 TEST(CliRun, EvaluateRejectsBadMappingAtRuntime) {

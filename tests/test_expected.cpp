@@ -72,9 +72,7 @@ TEST(ErrorCode, EveryCodeHasADistinctName) {
       ErrorCode::kDegenerateMatrix,   ErrorCode::kMappingFailure,
       ErrorCode::kWorkerFailure,      ErrorCode::kInterrupted,
       ErrorCode::kCorruptCheckpoint,  ErrorCode::kCheckpointMismatch,
-      ErrorCode::kCorruptTrace,       ErrorCode::kAdmissionRejected,
-      ErrorCode::kBackpressure,       ErrorCode::kSessionQuarantined,
-      ErrorCode::kSaturatedMatrix,
+      ErrorCode::kCorruptTrace,
   };
   std::set<std::string> names;
   for (const ErrorCode code : all) {

@@ -106,6 +106,8 @@ TEST(TraceFile, TruncatedVarintIsStructured) {
   } catch (const TraceFormatError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kTruncatedTrace);
     EXPECT_EQ(e.to_error().code, ErrorCode::kTruncatedTrace);
+    EXPECT_EQ(e.byte_offset(), 8u);
+    EXPECT_EQ(e.record_index(), 0u);  // the access being decoded
   }
 }
 
@@ -138,33 +140,79 @@ TEST(TraceFile, ValidateTraceAcceptsWriterOutput) {
   EXPECT_EQ(stats->bytes, bytes.size());
 }
 
+/// The " at byte N, record K" tail every TraceFormatError message ends with.
+std::string error_position(const std::string& message) {
+  const std::size_t at = message.find(" at byte ");
+  return at == std::string::npos ? std::string() : message.substr(at);
+}
+
 TEST(TraceFile, ValidateTraceFlagsCorruptFixtures) {
   struct Fixture {
     const char* label;
     std::vector<std::uint8_t> bytes;
     ErrorCode expected;
+    /// Only validate_trace rejects it: replay reads EOF as the end and never
+    /// looks past an end marker.
+    bool end_of_stream_check = false;
   };
+  std::vector<std::uint8_t> overlong = {'T', 'L', 'B', 'T', 1, 0x02};
+  for (int i = 0; i < 11; ++i) overlong.push_back(0x80);
+  overlong.push_back(0x01);
+  // Access with the gap flag whose gap varint decodes above 32 bits: the
+  // writer never emits one, so it is corruption, not just bad framing.
+  const std::vector<std::uint8_t> wide_gap = {'T', 'L', 'B', 'T', 1,
+                                              0x0a, 0x05, 0x80, 0x80, 0x80,
+                                              0x80, 0x20};
   const std::vector<Fixture> fixtures = {
       {"empty", {}, ErrorCode::kTruncatedTrace},
       {"short header", {'T', 'L'}, ErrorCode::kTruncatedTrace},
       {"bad magic", {'X', 'L', 'B', 'T', 1, 0x01}, ErrorCode::kMalformedTrace},
+      {"bad magic, header only", {'X', 'L', 'B', 'T', 1},
+       ErrorCode::kMalformedTrace},
       {"bad version", {'T', 'L', 'B', 'T', 7, 0x01},
+       ErrorCode::kMalformedTrace},
+      {"bad version, header only", {'T', 'L', 'B', 'T', 9},
        ErrorCode::kMalformedTrace},
       {"bad record header", {'T', 'L', 'B', 'T', 1, 0x41, 0x01},
        ErrorCode::kMalformedTrace},
+      {"bad record after a barrier", {'T', 'L', 'B', 'T', 1, 0x00, 0x41},
+       ErrorCode::kMalformedTrace},
       {"truncated varint", {'T', 'L', 'B', 'T', 1, 0x02, 0x80},
        ErrorCode::kTruncatedTrace},
+      {"overlong varint", overlong, ErrorCode::kMalformedTrace},
+      {"oversize gap", wide_gap, ErrorCode::kCorruptTrace},
       {"missing end marker", {'T', 'L', 'B', 'T', 1, 0x00},
-       ErrorCode::kTruncatedTrace},
+       ErrorCode::kTruncatedTrace, true},
       {"trailing bytes", {'T', 'L', 'B', 'T', 1, 0x01, 0x00},
-       ErrorCode::kMalformedTrace},
+       ErrorCode::kMalformedTrace, true},
   };
   for (const Fixture& f : fixtures) {
     const Expected<TraceStats> result = validate_trace(f.bytes);
     ASSERT_FALSE(result.has_value()) << f.label;
     EXPECT_EQ(result.error().code, f.expected) << f.label;
-    EXPECT_NE(result.error().message.find("at byte"), std::string::npos)
-        << f.label << ": " << result.error().message;
+    const std::string validated_at = error_position(result.error().message);
+    EXPECT_NE(validated_at, "") << f.label << ": " << result.error().message;
+
+    // Replay decodes with the same reader, so it throws the same code at
+    // the same byte and record.
+    std::string replayed_at;
+    ErrorCode replayed_code = ErrorCode::kInvalidArgument;
+    bool threw = false;
+    try {
+      TraceReader reader(f.bytes);
+      drain(reader);
+    } catch (const TraceFormatError& e) {
+      threw = true;
+      replayed_code = e.code();
+      replayed_at = error_position(e.what());
+    }
+    if (f.end_of_stream_check) {
+      EXPECT_FALSE(threw) << f.label;
+      continue;
+    }
+    ASSERT_TRUE(threw) << f.label;
+    EXPECT_EQ(replayed_code, f.expected) << f.label;
+    EXPECT_EQ(replayed_at, validated_at) << f.label;
   }
 }
 
@@ -340,170 +388,6 @@ TEST(TraceFile, CompressionBeatsNaiveEncodingOnNpb) {
   const auto bytes = writer.finish();
   EXPECT_LT(bytes.size(), accesses * 4);
   EXPECT_GT(accesses, 10'000u);
-}
-
-// ---------------------------------------------------------------------------
-// TraceStreamDecoder: the incremental, non-throwing decoder behind the
-// mapping service's ingest path (DESIGN.md Sec. 16).
-
-std::vector<std::uint8_t> small_recorded_buffer() {
-  SyntheticSpec spec;
-  spec.pattern = SyntheticSpec::Pattern::kPairs;
-  spec.private_pages = 8;
-  spec.iterations = 2;
-  return record_workload(*make_synthetic(spec), /*seed=*/3)[0];
-}
-
-/// Drains every currently decodable record; returns false on kNeedMore,
-/// true on kEnd, FAILs the test on a structured error.
-bool drain_decoder(TraceStreamDecoder& decoder,
-                   std::vector<TraceEvent>* out) {
-  for (;;) {
-    TraceEvent event;
-    const auto status = decoder.next(&event);
-    if (!status.has_value()) {
-      ADD_FAILURE() << status.error().message;
-      return true;
-    }
-    if (*status == TraceStreamDecoder::Status::kNeedMore) return false;
-    if (*status == TraceStreamDecoder::Status::kEnd) return true;
-    out->push_back(event);
-  }
-}
-
-TEST(TraceStreamDecoder, ByteAtATimeMatchesWholeBufferReplay) {
-  const auto bytes = small_recorded_buffer();
-  TraceReader reader(bytes);
-  const std::vector<TraceEvent> expected = drain(reader);
-
-  TraceStreamDecoder decoder;
-  std::vector<TraceEvent> streamed;
-  bool ended = false;
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    decoder.feed(&bytes[i], 1);  // worst-case fragmentation
-    ended = drain_decoder(decoder, &streamed);
-  }
-  EXPECT_TRUE(ended);
-  EXPECT_TRUE(decoder.finished());
-  EXPECT_EQ(decoder.buffered_bytes(), 0u);
-  EXPECT_EQ(decoder.offset(), bytes.size());
-  ASSERT_EQ(streamed.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(streamed[i].kind, expected[i].kind) << i;
-    if (expected[i].kind == TraceEvent::Kind::kAccess) {
-      ASSERT_EQ(streamed[i].access.addr, expected[i].access.addr) << i;
-      ASSERT_EQ(streamed[i].access.type, expected[i].access.type) << i;
-      ASSERT_EQ(streamed[i].access.compute_gap,
-                expected[i].access.compute_gap)
-          << i;
-    }
-  }
-}
-
-TEST(TraceStreamDecoder, NeedMoreMidRecordThenResumes) {
-  // Header + one access whose varint splits across feeds.
-  const std::vector<std::uint8_t> bytes = {'T', 'L', 'B', 'T', 1,
-                                           0x02, 0x80, 0x20, 0x01};
-  TraceStreamDecoder decoder;
-  TraceEvent event;
-  decoder.feed(bytes.data(), 7);  // ends inside the address varint
-  auto status = decoder.next(&event);
-  ASSERT_TRUE(status.has_value());
-  EXPECT_EQ(*status, TraceStreamDecoder::Status::kNeedMore);
-  EXPECT_EQ(decoder.buffered_bytes(), 2u);  // undecoded record tail
-
-  decoder.feed(bytes.data() + 7, 2);
-  status = decoder.next(&event);
-  ASSERT_TRUE(status.has_value());
-  ASSERT_EQ(*status, TraceStreamDecoder::Status::kEvent);
-  EXPECT_EQ(event.kind, TraceEvent::Kind::kAccess);
-  EXPECT_EQ(event.access.addr, 0x1000u);  // varint 0x80 0x20 = 4096
-
-  status = decoder.next(&event);
-  ASSERT_TRUE(status.has_value());
-  EXPECT_EQ(*status, TraceStreamDecoder::Status::kEnd);
-  // kEnd is terminal and idempotent.
-  EXPECT_EQ(*decoder.next(&event), TraceStreamDecoder::Status::kEnd);
-}
-
-TEST(TraceStreamDecoder, CorruptCorpusYieldsStructuredStickyErrors) {
-  struct Fixture {
-    const char* label;
-    std::vector<std::uint8_t> bytes;
-    ErrorCode expected;
-  };
-  std::vector<std::uint8_t> overlong = {'T', 'L', 'B', 'T', 1, 0x02};
-  for (int i = 0; i < 11; ++i) overlong.push_back(0x80);
-  overlong.push_back(0x01);
-  // Access with the gap flag whose gap varint decodes above 32 bits: the
-  // writer never emits one, so it is corruption, not just bad framing.
-  const std::vector<std::uint8_t> wide_gap = {'T', 'L', 'B', 'T', 1,
-                                              0x0a, 0x05, 0x80, 0x80, 0x80,
-                                              0x80, 0x20};
-  const std::vector<Fixture> fixtures = {
-      {"bad magic", {'X', 'L', 'B', 'T', 1}, ErrorCode::kMalformedTrace},
-      {"bad version", {'T', 'L', 'B', 'T', 9}, ErrorCode::kMalformedTrace},
-      {"bad record header", {'T', 'L', 'B', 'T', 1, 0x00, 0x41},
-       ErrorCode::kMalformedTrace},
-      {"overlong varint", overlong, ErrorCode::kMalformedTrace},
-      {"oversize gap", wide_gap, ErrorCode::kCorruptTrace},
-  };
-  for (const Fixture& f : fixtures) {
-    TraceStreamDecoder decoder;
-    decoder.feed(f.bytes);
-    TraceEvent event;
-    Expected<TraceStreamDecoder::Status> status = decoder.next(&event);
-    while (status.has_value() &&
-           *status == TraceStreamDecoder::Status::kEvent) {
-      status = decoder.next(&event);
-    }
-    ASSERT_FALSE(status.has_value()) << f.label;
-    EXPECT_EQ(status.error().code, f.expected) << f.label;
-    EXPECT_NE(status.error().message.find("at byte"), std::string::npos)
-        << f.label << ": " << status.error().message;
-    // Sticky: the decoder stays failed, even across more feed() calls.
-    const auto again = decoder.next(&event);
-    ASSERT_FALSE(again.has_value()) << f.label;
-    EXPECT_EQ(again.error().code, f.expected) << f.label;
-    decoder.feed({0x00});
-    EXPECT_FALSE(decoder.next(&event).has_value()) << f.label;
-  }
-}
-
-TEST(TraceStreamDecoder, StateRestoreResumesMidStream) {
-  const auto bytes = small_recorded_buffer();
-  const std::size_t split = bytes.size() / 3;
-
-  // Reference: one decoder over the whole stream.
-  TraceStreamDecoder reference;
-  reference.feed(bytes);
-  std::vector<TraceEvent> expected;
-  ASSERT_TRUE(drain_decoder(reference, &expected));
-
-  // Interrupted: decode a prefix, snapshot, restore into a fresh decoder
-  // (simulating a service checkpoint), feed the remainder.
-  TraceStreamDecoder first;
-  first.feed(bytes.data(), split);
-  std::vector<TraceEvent> events;
-  EXPECT_FALSE(drain_decoder(first, &events));
-  const TraceStreamDecoder::State snapshot = first.state();
-  EXPECT_EQ(snapshot.consumed + snapshot.pending.size(), split);
-
-  TraceStreamDecoder resumed;
-  resumed.restore(snapshot);
-  EXPECT_EQ(resumed.state(), snapshot);
-  resumed.feed(bytes.data() + split, bytes.size() - split);
-  ASSERT_TRUE(drain_decoder(resumed, &events));
-  EXPECT_TRUE(resumed.finished());
-  EXPECT_EQ(resumed.offset(), bytes.size());
-  EXPECT_EQ(resumed.records(), reference.records());
-  ASSERT_EQ(events.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(events[i].kind, expected[i].kind) << i;
-    if (expected[i].kind == TraceEvent::Kind::kAccess) {
-      ASSERT_EQ(events[i].access.addr, expected[i].access.addr) << i;
-    }
-  }
 }
 
 }  // namespace
