@@ -12,7 +12,9 @@
 #include "detect/hm_detector.hpp"
 #include "detect/oracle_detector.hpp"
 #include "detect/sm_detector.hpp"
+#include "mapping/mapping.hpp"
 #include "npb/synthetic.hpp"
+#include "npb/workload.hpp"
 #include "sim/machine.hpp"
 
 namespace {
@@ -202,6 +204,34 @@ BENCHMARK(BM_ParallelMachineScaling)
     ->ArgsProduct({{64, 128, 256}, {0, 1, 8}})
     ->ArgNames({"cores", "workers"})
     ->Unit(benchmark::kMillisecond);
+
+// The serial per-event loop at manycore scale: SP with 256 threads on the
+// 256-core mesh, no observer, one random placement. Every event pays the
+// scheduler pick (a winner-tree path replay over 256 leaves) and, on an L2
+// miss, the flat directory probe — the two per-event structures that made
+// this loop the manycore-256 bottleneck.
+void BM_SerialLoopManycore(benchmark::State& state) {
+  WorkloadParams params;
+  params.num_threads = 256;
+  params.iter_scale = 0.1;
+  const auto workload = make_npb_workload("SP", params);
+  const MachineConfig config = MachineConfig::manycore();
+  const Mapping mapping =
+      random_mapping(params.num_threads, config.num_cores(), /*seed=*/1);
+  std::uint64_t accesses = 0;
+  for (auto _ : state) {
+    Machine machine(config);
+    std::vector<std::unique_ptr<ThreadStream>> streams;
+    for (ThreadId t = 0; t < params.num_threads; ++t) {
+      streams.push_back(workload->stream(t, 1));
+    }
+    Machine::RunConfig cfg;
+    cfg.thread_to_core = mapping;
+    accesses += machine.run(std::move(streams), cfg).accesses;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
+}
+BENCHMARK(BM_SerialLoopManycore)->Unit(benchmark::kMillisecond);
 
 void BM_SimulatorWithOracle(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));

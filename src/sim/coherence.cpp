@@ -10,23 +10,15 @@ CoherenceDomain::CoherenceDomain(const MachineConfig& config,
                                  Interconnect& interconnect)
     : l2_latency_(config.l2.latency),
       interconnect_(&interconnect),
-      directory_enabled_(!config.coherence_broadcast) {
+      directory_enabled_(!config.coherence_broadcast),
+      holder_words_(holder_words(topology.num_l2())),
+      directory_(holder_words_) {
   l2s_.reserve(static_cast<std::size_t>(topology.num_l2()));
   for (int i = 0; i < topology.num_l2(); ++i) {
     l2s_.emplace_back(config.l2);
   }
   if (directory_enabled_) {
-    same_socket_mask_.assign(l2s_.size(), HolderSet(topology.num_l2()));
-    for (int a = 0; a < topology.num_l2(); ++a) {
-      for (int b = 0; b < topology.num_l2(); ++b) {
-        if (topology.socket_of_l2(a) == topology.socket_of_l2(b)) {
-          same_socket_mask_[static_cast<std::size_t>(a)].set(b);
-        }
-      }
-    }
-    // Worst case one entry per distinct resident line across all L2s.
-    directory_.reserve(l2s_.size() * l2s_.front().num_sets() *
-                       l2s_.front().ways());
+    same_socket_mask_ = socket_mask_rows(topology);
     holder_scratch_.reserve(l2s_.size());
   } else if (topology.num_l2() > 64) {
     // Explicit broadcast mode at a scale where the reference walk is a real
@@ -48,9 +40,8 @@ void CoherenceDomain::drop(L2Id holder, LineAddr line) {
 const std::vector<L2Id>& CoherenceDomain::snapshot_remote_holders(
     L2Id me, LineAddr line) {
   holder_scratch_.clear();
-  const auto it = directory_.find(line);
-  if (it != directory_.end()) {
-    it->second.for_each_excluding(me, [&](int b) {
+  if (const std::uint64_t* holders = directory_.find(line)) {
+    for_each_excluding(holders, holder_words_, me, [&](int b) {
       holder_scratch_.push_back(checked_l2id(static_cast<std::size_t>(b),
                                              l2s_.size()));
     });
@@ -59,10 +50,10 @@ const std::vector<L2Id>& CoherenceDomain::snapshot_remote_holders(
 }
 
 void CoherenceDomain::directory_clear(L2Id holder, LineAddr line) {
-  const auto it = directory_.find(line);
-  if (it == directory_.end()) return;
-  it->second.reset(holder);
-  if (it->second.none()) directory_.erase(it);
+  std::uint64_t* holders = directory_.find(line);
+  if (holders == nullptr) return;
+  reset_holder(holders, holder);
+  if (no_holders(holders, holder_words_)) directory_.erase(line);
 }
 
 L2Id CoherenceDomain::probe_broadcast(L2Id me, LineAddr line,
@@ -86,15 +77,12 @@ L2Id CoherenceDomain::probe(L2Id me, LineAddr line, MachineStats& stats) {
   // simulator-side resolution is a holder-set lookup instead of a set walk.
   interconnect_->record_probe_broadcast(me, stats);
   ++dir_stats_.probes;
-  const auto it = directory_.find(line);
-  if (it == directory_.end()) return -1;
-  // Nearest holder, matching the broadcast scan's tie-break: the
-  // lowest-indexed holder on my socket when one exists, else the
-  // lowest-indexed holder overall.
-  const HolderSet& holders = it->second;
-  int pick = holders.first_and_excluding(
-      same_socket_mask_[static_cast<std::size_t>(me)], me);
-  if (pick == -1) pick = holders.first_excluding(me);
+  const std::uint64_t* holders = directory_.find(line);
+  if (holders == nullptr) return -1;
+  const int pick = nearest_holder(
+      holders,
+      &same_socket_mask_[static_cast<std::size_t>(me) * holder_words_],
+      holder_words_, me);
   if (pick == -1) return -1;
   ++dir_stats_.holder_hits;
   return checked_l2id(static_cast<std::size_t>(pick), l2s_.size());
@@ -104,7 +92,7 @@ void CoherenceDomain::insert_line(L2Id me, LineAddr line, MesiState state,
                                   MachineStats& stats) {
   auto evicted = l2s_[static_cast<std::size_t>(me)].insert(line, state);
   if (directory_enabled_) {
-    directory_[line].set(me);
+    set_holder(directory_.find_or_insert(line), me);
     if (evicted.has_value()) directory_clear(me, evicted->addr);
   }
   if (evicted.has_value()) {
@@ -249,7 +237,7 @@ void CoherenceDomain::rebuild_directory() {
   directory_.clear();
   for (std::size_t id = 0; id < l2s_.size(); ++id) {
     l2s_[id].for_each_line([&](const CacheLine& cl) {
-      directory_[cl.addr].set(static_cast<int>(id));
+      set_holder(directory_.find_or_insert(cl.addr), static_cast<int>(id));
     });
   }
 }
@@ -260,24 +248,23 @@ bool CoherenceDomain::directory_consistent() const {
   for (std::size_t id = 0; id < l2s_.size(); ++id) {
     bool ok = true;
     l2s_[id].for_each_line([&](const CacheLine& cl) {
-      const auto it = directory_.find(cl.addr);
-      if (it == directory_.end() || !it->second.test(static_cast<int>(id))) {
+      const std::uint64_t* holders = directory_.find(cl.addr);
+      if (holders == nullptr || !test_holder(holders, static_cast<int>(id))) {
         ok = false;
       }
     });
     if (!ok) return false;
   }
   // ...and every directory bit must map back to a resident line.
-  for (const auto& [line, holders] : directory_) {
-    if (holders.none()) return false;  // empty sets are erased eagerly
-    bool ok = true;
-    holders.for_each([&](int b) {
+  bool ok = true;
+  directory_.for_each([&](LineAddr line, const std::uint64_t* holders) {
+    if (no_holders(holders, holder_words_)) ok = false;  // erased eagerly
+    for_each_excluding(holders, holder_words_, -1, [&](int b) {
       const auto id = static_cast<std::size_t>(b);
       if (id >= l2s_.size() || l2s_[id].peek(line) == nullptr) ok = false;
     });
-    if (!ok) return false;
-  }
-  return true;
+  });
+  return ok;
 }
 
 }  // namespace tlbmap

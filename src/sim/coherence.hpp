@@ -10,30 +10,28 @@
 // good thread mapping exploits.
 //
 // The simulator resolves the broadcast with a line-occupancy directory: a
-// LineAddr -> HolderSet (a small-size-optimised multi-word bitset over L2
-// ids) maintained incrementally by every insert/invalidate/eviction, so a
-// probe is one hash lookup plus a lowest-set-bit scan over the
-// socket-partitioned holder set and the invalidation loops visit only
-// actual holders — O(holders) instead of Theta(num_l2) cache-set walks per
-// miss. Machines with at most 64 L2s keep the whole set in one inline word
-// (the historical representation); larger machines grow per-line heap
-// words, so the directory now covers any topology instead of silently
-// degrading to the broadcast walk beyond 64 L2s. This changes no simulated
-// outcome: probe messages, snoop transactions, invalidations, latencies and
-// replacement state are identical bit for bit (the differential test suite
-// proves it, up to 256 L2 domains). The literal walked broadcast is kept
-// behind MachineConfig::coherence_broadcast for A/B benchmarking only.
+// flat open-addressed LineAddr -> holder-row table (sim/line_table.hpp; one
+// bit per L2, holder_words(num_l2) words per line) maintained incrementally
+// by every insert/invalidate/eviction. A probe is one table lookup plus a
+// lowest-set-bit scan over the socket-partitioned holder row, and the
+// invalidation loops visit only actual holders — O(holders) instead of
+// Theta(num_l2) cache-set walks per miss, on any topology, with no per-line
+// allocation. This changes no simulated outcome: probe messages, snoop
+// transactions, invalidations, latencies and replacement state are
+// identical bit for bit (the differential test suite proves it, up to 256
+// L2 domains). The literal walked broadcast is kept behind
+// MachineConfig::coherence_broadcast as the test oracle.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/cache.hpp"
 #include "sim/config.hpp"
 #include "sim/holder_set.hpp"
 #include "sim/interconnect.hpp"
+#include "sim/line_table.hpp"
 #include "sim/stats.hpp"
 #include "sim/topology.hpp"
 #include "sim/types.hpp"
@@ -141,10 +139,11 @@ class CoherenceDomain {
   LineDropFn on_line_drop_;
 
   bool directory_enabled_;
-  /// Holder set of each socket, indexed by L2 id (same_socket_mask_[me] =
-  /// the L2s on me's socket) — the nearest-holder partition.
-  std::vector<HolderSet> same_socket_mask_;
-  std::unordered_map<LineAddr, HolderSet> directory_;
+  std::uint32_t holder_words_;
+  /// Holder row of each socket, row me = the L2s on me's socket (row-major,
+  /// holder_words_ per row) — the nearest-holder partition.
+  std::vector<std::uint64_t> same_socket_mask_;
+  LineTable directory_;
   std::vector<L2Id> holder_scratch_;  ///< reused by snapshot_remote_holders
   DirectoryStats dir_stats_;
 };

@@ -1,24 +1,18 @@
-// HolderSet: a small-size-optimised bitset over L2 ids, the value type of
-// the coherence directory (LineAddr -> holders).
+// Holder rows: fixed-width bitsets over L2 ids, stored as plain runs of
+// uint64 words — the rows of the coherence directory, of the epoch engine's
+// frozen view (sim/line_table.hpp) and of the per-socket masks.
 //
-// Machines up to 64 L2 domains — every topology the original Harpertown
-// reproduction cared about — keep the whole set in one inline word, so the
-// directory's hot paths (probe, upgrade/RFO holder walks) cost exactly what
-// the historical `std::uint64_t` mask did: no allocation, no indirection.
-// Beyond 64 L2s the set grows to a heap array of words on the first
-// `set()` of a high bit, which removes the old silent broadcast fallback at
-// >64 L2s without taxing the small machines that never grow.
-//
-// Bit indices are L2 ids. All queries treat absent words as zero, so sets
-// of different capacities compare and combine correctly (the per-socket
-// masks are sized to the machine; directory entries grow lazily).
+// Every row of a machine has holder_words(num_l2) words, so two rows always
+// combine word by word. The queries return and visit bits in ascending
+// order: that is the order the reference broadcast walks its peers, which
+// keeps the directory's tie-breaks and invalidation loops bit-identical to
+// it. `exclude` = -1 excludes nothing.
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "sim/topology.hpp"
 
@@ -26,11 +20,9 @@ namespace tlbmap {
 
 /// Checked narrowing from a bit index to an L2Id. Every conversion of a
 /// directory bit position into an L2 id routes through here, so a holder in
-/// word 1+ (id >= 64) can never silently truncate or alias an id in word 0
-/// — a bug class the single-word mask made impossible by construction and
-/// the multi-word set must rule out explicitly. `limit` is the machine's
-/// L2 count; out-of-range indices mean directory corruption, reported
-/// loudly instead of as a wrong-holder probe result.
+/// word 1+ (id >= 64) can never silently truncate or alias an id in word 0.
+/// `limit` is the machine's L2 count; out-of-range indices mean directory
+/// corruption, reported loudly instead of as a wrong-holder probe result.
 inline L2Id checked_l2id(std::size_t bit, std::size_t limit) {
   if (bit >= limit) {
     throw std::logic_error("checked_l2id: holder bit beyond machine L2s");
@@ -38,224 +30,93 @@ inline L2Id checked_l2id(std::size_t bit, std::size_t limit) {
   return static_cast<L2Id>(bit);
 }
 
-class HolderSet {
- public:
-  /// Empty set, inline single-word capacity (64 bits). Grows on demand.
-  HolderSet() = default;
+/// Words per row on a machine with `num_l2` L2 domains.
+inline std::uint32_t holder_words(int num_l2) {
+  return (static_cast<std::uint32_t>(num_l2) + 63u) / 64u;
+}
 
-  /// Empty set pre-sized for `num_bits` bits (avoids growth reallocation
-  /// for fixed-shape sets like the per-socket masks).
-  explicit HolderSet(int num_bits) {
-    if (num_bits > 64) grow(words_needed(num_bits));
-  }
+namespace holder_detail {
+inline std::uint32_t word_of(int bit) {
+  return static_cast<std::uint32_t>(bit) / 64u;
+}
+inline std::uint64_t mask_of(int bit) {
+  return std::uint64_t{1} << (static_cast<unsigned>(bit) % 64u);
+}
+}  // namespace holder_detail
 
-  HolderSet(const HolderSet& other) { copy_from(other); }
-  HolderSet& operator=(const HolderSet& other) {
-    if (this != &other) {
-      release();
-      copy_from(other);
-    }
-    return *this;
+inline void set_holder(std::uint64_t* row, int bit) {
+  row[holder_detail::word_of(bit)] |= holder_detail::mask_of(bit);
+}
+inline void reset_holder(std::uint64_t* row, int bit) {
+  row[holder_detail::word_of(bit)] &= ~holder_detail::mask_of(bit);
+}
+inline bool test_holder(const std::uint64_t* row, int bit) {
+  return (row[holder_detail::word_of(bit)] & holder_detail::mask_of(bit)) != 0;
+}
+inline bool no_holders(const std::uint64_t* row, std::uint32_t words) {
+  for (std::uint32_t i = 0; i < words; ++i) {
+    if (row[i] != 0) return false;
   }
-  HolderSet(HolderSet&& other) noexcept
-      : inline_word_(other.inline_word_),
-        heap_(other.heap_),
-        num_words_(other.num_words_) {
-    other.heap_ = nullptr;
-    other.num_words_ = 1;
-    other.inline_word_ = 0;
-  }
-  HolderSet& operator=(HolderSet&& other) noexcept {
-    if (this != &other) {
-      release();
-      inline_word_ = other.inline_word_;
-      heap_ = other.heap_;
-      num_words_ = other.num_words_;
-      other.heap_ = nullptr;
-      other.num_words_ = 1;
-      other.inline_word_ = 0;
-    }
-    return *this;
-  }
-  ~HolderSet() { release(); }
+  return true;
+}
 
-  void set(int bit) {
-    const std::uint32_t w = word_of(bit);
-    if (w >= num_words_) grow(w + 1);
-    words()[w] |= mask_of(bit);
-  }
-
-  void reset(int bit) {
-    const std::uint32_t w = word_of(bit);
-    if (w < num_words_) words()[w] &= ~mask_of(bit);
-  }
-
-  bool test(int bit) const {
-    const std::uint32_t w = word_of(bit);
-    return w < num_words_ && (cwords()[w] & mask_of(bit)) != 0;
-  }
-
-  bool none() const {
-    const std::uint64_t* w = cwords();
-    for (std::uint32_t i = 0; i < num_words_; ++i) {
-      if (w[i] != 0) return false;
-    }
-    return true;
-  }
-  bool any() const { return !none(); }
-
-  int count() const {
-    int n = 0;
-    const std::uint64_t* w = cwords();
-    for (std::uint32_t i = 0; i < num_words_; ++i) {
-      n += std::popcount(w[i]);
-    }
-    return n;
-  }
-
-  void clear() {
-    std::uint64_t* w = words();
-    std::fill(w, w + num_words_, std::uint64_t{0});
-  }
-
-  /// Lowest set bit, or -1 when empty. The multi-word generalisation of
-  /// `std::countr_zero(mask)` — preserves the broadcast scan's
-  /// lowest-index-first order.
-  int first() const { return first_from(cwords(), num_words_); }
-
-  /// Lowest set bit other than `exclude`, or -1. One pass, no temporary.
-  int first_excluding(int exclude) const {
-    const std::uint64_t* w = cwords();
-    const std::uint32_t xw = word_of(exclude);
-    for (std::uint32_t i = 0; i < num_words_; ++i) {
-      std::uint64_t v = w[i];
-      if (i == xw) v &= ~mask_of(exclude);
-      if (v != 0) {
-        return static_cast<int>(i) * 64 + std::countr_zero(v);
-      }
-    }
-    return -1;
-  }
-
-  /// Lowest bit set in both this and `mask`, excluding `exclude`; -1 when
-  /// the intersection is empty. This is the directory probe's
-  /// "lowest-indexed holder on my socket" tie-break, computed without
-  /// materialising the intersection.
-  int first_and_excluding(const HolderSet& mask, int exclude) const {
-    const std::uint64_t* a = cwords();
-    const std::uint64_t* b = mask.cwords();
-    const std::uint32_t n = std::min(num_words_, mask.num_words_);
-    const std::uint32_t xw = word_of(exclude);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      std::uint64_t v = a[i] & b[i];
-      if (i == xw) v &= ~mask_of(exclude);
-      if (v != 0) {
-        return static_cast<int>(i) * 64 + std::countr_zero(v);
-      }
-    }
-    return -1;
-  }
-
-  /// Calls `fn(bit)` for every set bit in ascending order — the same order
-  /// the reference broadcast walks its peers, which is what keeps the
-  /// directory's invalidation loops bit-identical to it.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    const std::uint64_t* w = cwords();
-    for (std::uint32_t i = 0; i < num_words_; ++i) {
-      for (std::uint64_t v = w[i]; v != 0; v &= v - 1) {
-        fn(static_cast<int>(i) * 64 + std::countr_zero(v));
+/// Row-major socket masks: row a (holder_words(num_l2) words) holds the L2s
+/// on a's socket — the partition behind the nearest-holder tie-break.
+inline std::vector<std::uint64_t> socket_mask_rows(const Topology& topology) {
+  const std::uint32_t words = holder_words(topology.num_l2());
+  std::vector<std::uint64_t> rows(
+      static_cast<std::size_t>(topology.num_l2()) * words, 0);
+  for (int a = 0; a < topology.num_l2(); ++a) {
+    for (int b = 0; b < topology.num_l2(); ++b) {
+      if (topology.socket_of_l2(a) == topology.socket_of_l2(b)) {
+        set_holder(&rows[static_cast<std::size_t>(a) * words], b);
       }
     }
   }
+  return rows;
+}
 
-  /// Ascending set bits other than `exclude` — the holder-walk order of the
-  /// upgrade/RFO loops.
-  template <typename Fn>
-  void for_each_excluding(int exclude, Fn&& fn) const {
-    const std::uint64_t* w = cwords();
-    const std::uint32_t xw = word_of(exclude);
-    for (std::uint32_t i = 0; i < num_words_; ++i) {
-      std::uint64_t v = w[i];
-      if (i == xw) v &= ~mask_of(exclude);
-      for (; v != 0; v &= v - 1) {
-        fn(static_cast<int>(i) * 64 + std::countr_zero(v));
-      }
+/// Lowest bit set in both `row` and `mask` other than `exclude`, or -1; pass
+/// mask = nullptr for "lowest bit of `row` other than `exclude`". With a
+/// socket mask this is the directory probe's "lowest-indexed holder on my
+/// socket" tie-break, computed without materialising the intersection.
+inline int first_and_excluding(const std::uint64_t* row,
+                               const std::uint64_t* mask, std::uint32_t words,
+                               int exclude) {
+  const std::uint32_t xw = holder_detail::word_of(exclude);
+  for (std::uint32_t i = 0; i < words; ++i) {
+    std::uint64_t v = mask != nullptr ? row[i] & mask[i] : row[i];
+    if (i == xw) v &= ~holder_detail::mask_of(exclude);
+    if (v != 0) return static_cast<int>(i) * 64 + std::countr_zero(v);
+  }
+  return -1;
+}
+
+/// The holder `me` takes a line from: the lowest-indexed holder on me's
+/// socket (`socket` = me's socket-mask row) when one exists, else the
+/// lowest-indexed holder overall; -1 when no other L2 holds it. This is the
+/// broadcast scan's tie-break, shared by the directory and the epoch
+/// engine's frozen view.
+inline int nearest_holder(const std::uint64_t* row,
+                          const std::uint64_t* socket, std::uint32_t words,
+                          int me) {
+  const int pick = first_and_excluding(row, socket, words, me);
+  return pick != -1 ? pick : first_and_excluding(row, nullptr, words, me);
+}
+
+/// Calls `fn(bit)` for every set bit other than `exclude`, ascending — the
+/// holder-walk order of the upgrade/RFO loops.
+template <typename Fn>
+void for_each_excluding(const std::uint64_t* row, std::uint32_t words,
+                        int exclude, Fn&& fn) {
+  const std::uint32_t xw = holder_detail::word_of(exclude);
+  for (std::uint32_t i = 0; i < words; ++i) {
+    std::uint64_t v = row[i];
+    if (i == xw) v &= ~holder_detail::mask_of(exclude);
+    for (; v != 0; v &= v - 1) {
+      fn(static_cast<int>(i) * 64 + std::countr_zero(v));
     }
   }
-
-  /// True when any bit other than `exclude` is set.
-  bool any_excluding(int exclude) const {
-    return first_excluding(exclude) != -1;
-  }
-
-  bool operator==(const HolderSet& other) const {
-    const std::uint64_t* a = cwords();
-    const std::uint64_t* b = other.cwords();
-    const std::uint32_t n = std::max(num_words_, other.num_words_);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint64_t av = i < num_words_ ? a[i] : 0;
-      const std::uint64_t bv = i < other.num_words_ ? b[i] : 0;
-      if (av != bv) return false;
-    }
-    return true;
-  }
-
-  /// Words currently backing the set (1 = still inline).
-  std::uint32_t num_words() const { return num_words_; }
-  bool is_inline() const { return heap_ == nullptr; }
-
- private:
-  static std::uint32_t word_of(int bit) {
-    return static_cast<std::uint32_t>(bit) / 64u;
-  }
-  static std::uint64_t mask_of(int bit) {
-    return std::uint64_t{1} << (static_cast<unsigned>(bit) % 64u);
-  }
-  static std::uint32_t words_needed(int num_bits) {
-    return (static_cast<std::uint32_t>(num_bits) + 63u) / 64u;
-  }
-  static int first_from(const std::uint64_t* w, std::uint32_t n) {
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (w[i] != 0) {
-        return static_cast<int>(i) * 64 + std::countr_zero(w[i]);
-      }
-    }
-    return -1;
-  }
-
-  std::uint64_t* words() { return heap_ != nullptr ? heap_ : &inline_word_; }
-  const std::uint64_t* cwords() const {
-    return heap_ != nullptr ? heap_ : &inline_word_;
-  }
-
-  void grow(std::uint32_t new_words) {
-    auto* bigger = new std::uint64_t[new_words]{};
-    std::memcpy(bigger, cwords(), num_words_ * sizeof(std::uint64_t));
-    release();
-    heap_ = bigger;
-    num_words_ = new_words;
-  }
-
-  void copy_from(const HolderSet& other) {
-    num_words_ = other.num_words_;
-    if (other.heap_ != nullptr) {
-      heap_ = new std::uint64_t[num_words_];
-      std::memcpy(heap_, other.heap_, num_words_ * sizeof(std::uint64_t));
-    } else {
-      heap_ = nullptr;
-      inline_word_ = other.inline_word_;
-    }
-  }
-
-  void release() {
-    delete[] heap_;
-    heap_ = nullptr;
-  }
-
-  std::uint64_t inline_word_ = 0;  ///< storage while num_words_ == 1
-  std::uint64_t* heap_ = nullptr;  ///< engaged once the set outgrows a word
-  std::uint32_t num_words_ = 1;
-};
+}
 
 }  // namespace tlbmap

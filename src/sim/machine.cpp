@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <string>
-#include <functional>
 #include <optional>
-#include <queue>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "core/shutdown.hpp"
+#include "sim/min_clock_tree.hpp"
 
 namespace tlbmap {
 
@@ -101,24 +100,17 @@ Expected<MachineStats> Machine::try_run(
   std::vector<CoreId> placement = config.thread_to_core;
   int barrier_count = 0;
 
-  // Lazy min-heap over (clock, thread id) for the scheduler, used at or
-  // above the threshold. Entries go stale when a clock moves or a thread
-  // blocks; they are validated against live state on pop, so duplicates are
-  // harmless — the invariant is only that every runnable thread has at
-  // least one entry carrying its current clock. Ordering by the (clock, id)
-  // pair reproduces the linear scan's lowest-id tie-break.
-  const bool use_heap = num_threads >= config.scheduler_heap_threshold;
-  using HeapEntry = std::pair<Cycles, int>;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
-      ready;
-  auto push_ready = [&](int t) {
+  // Scheduler: a winner tree over (clock, thread id). Invariant between
+  // events: every thread's leaf holds its clock when runnable and kBlocked
+  // otherwise; only the issuing thread's leaf lags until its event is done.
+  MinClockTree ready(num_threads);
+  auto key_of = [&](int t) {
     const ThreadState& ts = threads[static_cast<std::size_t>(t)];
-    if (ts.runnable()) ready.emplace(ts.clock, t);
+    return ts.runnable() ? ts.clock : MinClockTree::kBlocked;
   };
-  auto push_all_ready = [&] {
-    if (!use_heap) return;
-    for (int t = 0; t < num_threads; ++t) push_ready(t);
+  auto rebuild_ready = [&] {
+    for (int t = 0; t < num_threads; ++t) ready.assign(t, key_of(t));
+    ready.rebuild();
   };
 
   // Set when a non-recoverable failure happens inside a nested helper; the
@@ -215,8 +207,8 @@ Expected<MachineStats> Machine::try_run(
       apply_migration(config.migration->on_barrier(
           barrier_count, latest + config.barrier_latency, stats));
     }
-    // Every released thread has a fresh clock; reseed the scheduler heap.
-    push_all_ready();
+    // Every released (and possibly migrated) thread has a fresh clock.
+    rebuild_ready();
   };
 
   // Watchdog: a finite, well-formed trace always reaches kEnd, but recorded
@@ -251,7 +243,7 @@ Expected<MachineStats> Machine::try_run(
     sim_cycles_gauge->set(static_cast<double>(sim_now));
   };
 
-  push_all_ready();
+  rebuild_ready();
   while (live > 0) {
     if (fatal) return *std::move(fatal);
     // Cooperative shutdown (DESIGN.md Sec. 12): poll the process-wide flag
@@ -278,30 +270,7 @@ Expected<MachineStats> Machine::try_run(
       return Error{ErrorCode::kWatchdogTimeout, msg.str()};
     }
     // Pick the runnable thread with the smallest clock (lowest id on ties).
-    int next = -1;
-    if (use_heap) {
-      while (!ready.empty()) {
-        const auto [clk, t] = ready.top();
-        const ThreadState& ts = threads[static_cast<std::size_t>(t)];
-        if (!ts.runnable() || ts.clock != clk) {
-          ready.pop();  // stale: clock moved or thread blocked since push
-          continue;
-        }
-        ready.pop();
-        next = t;
-        break;
-      }
-    } else {
-      // Thread counts this small (paper: 8) scan faster than heap churn.
-      for (int t = 0; t < num_threads; ++t) {
-        const ThreadState& ts = threads[static_cast<std::size_t>(t)];
-        if (!ts.runnable()) continue;
-        if (next == -1 ||
-            ts.clock < threads[static_cast<std::size_t>(next)].clock) {
-          next = t;
-        }
-      }
-    }
+    const int next = ready.top();
     if (next == -1) {
       // Everyone alive is at a barrier (can happen when the last runnable
       // thread finished); release and continue.
@@ -341,13 +310,9 @@ Expected<MachineStats> Machine::try_run(
               threads[o].clock += global;
               if (!threads[o].at_barrier) overhead[o] += global;
             }
-            if (use_heap) {
-              // Every runnable clock just moved; reseed (next is reseeded
-              // after the switch like any other issuing thread).
-              for (int t = 0; t < num_threads; ++t) {
-                if (t != next) push_ready(t);
-              }
-            }
+            // Every runnable clock moved by the same amount, so the tree's
+            // order holds (next's leaf is replayed after the switch).
+            ready.shift(global);
           }
         }
         break;
@@ -362,7 +327,7 @@ Expected<MachineStats> Machine::try_run(
         release_barrier_if_ready();
         break;
     }
-    if (use_heap) push_ready(next);
+    ready.update(next, key_of(next));
     if (interval_metrics != nullptr &&
         events_issued % config.metrics_interval_events == 0) {
       publish_progress(ts.clock);

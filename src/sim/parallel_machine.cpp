@@ -25,7 +25,9 @@ EpochEngine::EpochEngine(Machine& machine, const Machine::RunConfig& config,
       topology_(&machine.topology()),
       interconnect_(&machine.hierarchy().interconnect()),
       coherence_(&machine.hierarchy().coherence()),
-      page_table_(&machine.hierarchy().page_table()) {
+      page_table_(&machine.hierarchy().page_table()),
+      words_(holder_words(machine.topology().num_l2())),
+      frozen_(2 * words_) {
   const MachineConfig& mc = hierarchy_->config();
   page_shift_ = mc.page_shift();
   page_offset_mask_ = (VirtAddr{1} << page_shift_) - 1;
@@ -57,23 +59,15 @@ EpochEngine::EpochEngine(Machine& machine, const Machine::RunConfig& config,
   // The frozen-view probe needs the nearest-holder partition in broadcast
   // mode too, so the engine builds its own copy instead of borrowing the
   // directory's.
-  socket_mask_.assign(static_cast<std::size_t>(num_domains_),
-                      HolderSet(num_domains_));
-  for (int a = 0; a < num_domains_; ++a) {
-    for (int b = 0; b < num_domains_; ++b) {
-      if (topology_->socket_of_l2(a) == topology_->socket_of_l2(b)) {
-        socket_mask_[static_cast<std::size_t>(a)].set(b);
-      }
-    }
-  }
+  socket_mask_ = socket_mask_rows(*topology_);
   reshard();
   // Epoch-start view from the actual cache contents — non-empty when the
   // run was configured with flush_first off.
   for (int id = 0; id < num_domains_; ++id) {
     coherence_->l2(id).for_each_line([&](const CacheLine& cl) {
-      FrozenLine& f = frozen_[cl.addr];
-      f.holders.set(id);
-      if (cl.state == MesiState::kModified) f.modified.set(id);
+      std::uint64_t* f = frozen_.find_or_insert(cl.addr);
+      set_holder(f, id);
+      if (cl.state == MesiState::kModified) set_holder(f + words_, id);
     });
   }
 }
@@ -93,15 +87,11 @@ void EpochEngine::reshard() {
   }
 }
 
-const EpochEngine::FrozenLine* EpochEngine::frozen_line(LineAddr line) const {
-  const auto it = frozen_.find(line);
-  return it == frozen_.end() ? nullptr : &it->second;
-}
-
-L2Id EpochEngine::nearest_holder(L2Id me, const FrozenLine& frozen) const {
-  int pick = frozen.holders.first_and_excluding(
-      socket_mask_[static_cast<std::size_t>(me)], me);
-  if (pick == -1) pick = frozen.holders.first_excluding(me);
+L2Id EpochEngine::nearest_holder(L2Id me,
+                                 const std::uint64_t* holders) const {
+  const int pick = tlbmap::nearest_holder(
+      holders, &socket_mask_[static_cast<std::size_t>(me) * words_], words_,
+      me);
   if (pick == -1) return -1;
   return checked_l2id(static_cast<std::size_t>(pick),
                       static_cast<std::size_t>(num_domains_));
@@ -148,14 +138,13 @@ Cycles EpochEngine::domain_read(Shard& s, LineAddr line,
   Cycles latency = l2_latency_;
   interconnect_->record_probe_broadcast(s.domain, st);
   if (directory_enabled_) ++s.dir_stats.probes;
-  const FrozenLine* frozen = frozen_line(line);
-  const L2Id holder =
-      frozen != nullptr ? nearest_holder(s.domain, *frozen) : -1;
+  const std::uint64_t* frozen = frozen_.find(line);
+  const L2Id holder = frozen != nullptr ? nearest_holder(s.domain, frozen) : -1;
   if (holder != -1) {
     if (directory_enabled_) ++s.dir_stats.holder_hits;
     // Costed from the epoch-start view: a modified frozen holder pays the
     // writeback here even if its own epoch already downgraded the line.
-    if (frozen->modified.test(holder)) ++st.writebacks;
+    if (test_holder(frozen + words_, holder)) ++st.writebacks;
     ++st.snoop_transactions;
     latency += interconnect_->transfer(holder, s.domain, st);
     queue_op(s, holder, line, /*invalidate=*/false);
@@ -189,8 +178,8 @@ Cycles EpochEngine::domain_write(Shard& s, LineAddr line,
       case MesiState::kShared: {
         // Ownership upgrade against the frozen holder set.
         Cycles worst = 0;
-        if (const FrozenLine* frozen = frozen_line(line)) {
-          frozen->holders.for_each_excluding(s.domain, [&](int b) {
+        if (const std::uint64_t* frozen = frozen_.find(line)) {
+          for_each_excluding(frozen, words_, s.domain, [&](int b) {
             const L2Id other =
                 checked_l2id(static_cast<std::size_t>(b),
                              static_cast<std::size_t>(num_domains_));
@@ -215,18 +204,17 @@ Cycles EpochEngine::domain_write(Shard& s, LineAddr line,
   Cycles latency = 1;
   interconnect_->record_probe_broadcast(s.domain, st);
   if (directory_enabled_) ++s.dir_stats.probes;
-  const FrozenLine* frozen = frozen_line(line);
-  const L2Id source =
-      frozen != nullptr ? nearest_holder(s.domain, *frozen) : -1;
+  const std::uint64_t* frozen = frozen_.find(line);
+  const L2Id source = frozen != nullptr ? nearest_holder(s.domain, frozen) : -1;
   if (source != -1) {
     if (directory_enabled_) ++s.dir_stats.holder_hits;
     Cycles worst = 0;
-    frozen->holders.for_each_excluding(s.domain, [&](int b) {
+    for_each_excluding(frozen, words_, s.domain, [&](int b) {
       const L2Id other = checked_l2id(static_cast<std::size_t>(b),
                                       static_cast<std::size_t>(num_domains_));
       if (directory_enabled_) ++s.dir_stats.holder_visits;
       ++st.invalidations;
-      if (frozen->modified.test(other)) ++st.writebacks;
+      if (test_holder(frozen + words_, other)) ++st.writebacks;
       queue_op(s, other, line, /*invalidate=*/true);
       if (other == source) {
         ++st.snoop_transactions;
@@ -445,23 +433,20 @@ void EpochEngine::reconcile(L2Id domain, std::vector<LineAddr>& lines) {
       static_cast<const CoherenceDomain*>(coherence_)->l2(domain);
   for (const LineAddr line : lines) {
     const CacheLine* held = cache.peek(line);
-    const auto it = frozen_.find(line);
     if (held == nullptr) {
-      if (it == frozen_.end()) continue;
-      it->second.holders.reset(domain);
-      it->second.modified.reset(domain);
-      if (it->second.holders.none()) frozen_.erase(it);
-    } else if (it != frozen_.end()) {
-      it->second.holders.set(domain);
-      if (held->state == MesiState::kModified) {
-        it->second.modified.set(domain);
-      } else {
-        it->second.modified.reset(domain);
-      }
+      std::uint64_t* f = frozen_.find(line);
+      if (f == nullptr) continue;
+      reset_holder(f, domain);
+      reset_holder(f + words_, domain);
+      if (no_holders(f, words_)) frozen_.erase(line);
+      continue;
+    }
+    std::uint64_t* f = frozen_.find_or_insert(line);
+    set_holder(f, domain);
+    if (held->state == MesiState::kModified) {
+      set_holder(f + words_, domain);
     } else {
-      FrozenLine& f = frozen_[line];
-      f.holders.set(domain);
-      if (held->state == MesiState::kModified) f.modified.set(domain);
+      reset_holder(f + words_, domain);
     }
   }
   lines.clear();
@@ -589,6 +574,9 @@ void EpochEngine::finish_state() {
     dir_sum_.holder_visits += s.dir_stats.holder_visits;
   }
   coherence_->add_directory_stats(dir_sum_);
+  // The frozen view is dead from here on: free it before the rebuild below
+  // grows the directory, so the two tables never peak together.
+  frozen_ = LineTable(2 * words_);
   // The live directory was bypassed the whole run; rebuild it from the
   // caches the engine left behind so a subsequent serial run (and
   // directory_consistent()) sees reality.

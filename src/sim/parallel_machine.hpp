@@ -13,8 +13,11 @@
 //     the serial loop.
 //   - Cross-domain coherence (cache-to-cache transfers, downgrades,
 //     ownership invalidations) is *priced and counted at issue time* from
-//     the frozen view {holder set, modified set} per line, and the remote
-//     mutations are queued as per-victim ops.
+//     the frozen view, and the remote mutations are queued as per-victim
+//     ops. The frozen view is a flat line table (sim/line_table.hpp) whose
+//     row per line is two holder rows: the L2s holding it, and the subset
+//     holding it Modified. Workers only read it; the commit updates it in
+//     place, without allocating per line.
 //   - First touches of unmapped pages yield the thread for the rest of its
 //     epoch and queue a page claim instead of allocating (frame numbers
 //     feed cache-set indices, so allocation order is simulated semantics).
@@ -51,6 +54,7 @@
 #include "core/expected.hpp"
 #include "obs/obs.hpp"
 #include "sim/holder_set.hpp"
+#include "sim/line_table.hpp"
 #include "sim/machine.hpp"
 #include "sim/page_table.hpp"
 #include "sim/stats.hpp"
@@ -110,12 +114,6 @@ class EpochEngine {
     int home = 0;
   };
 
-  /// Epoch-start view of one line's residency across all L2 domains.
-  struct FrozenLine {
-    HolderSet holders;
-    HolderSet modified;  ///< subset of holders in Modified state
-  };
-
   struct Shard {
     L2Id domain = 0;
     std::vector<ThreadId> threads;  ///< ascending (the scan's tie-break)
@@ -149,10 +147,8 @@ class EpochEngine {
   void drop_domain_l1s(L2Id domain, LineAddr line);
   void queue_op(Shard& shard, L2Id victim, LineAddr line, bool invalidate);
 
-  const FrozenLine* frozen_line(LineAddr line) const;
-  /// Nearest frozen holder, matching the directory probe's tie-break:
-  /// lowest-indexed holder on me's socket, else lowest overall; -1 if none.
-  L2Id nearest_holder(L2Id me, const FrozenLine& frozen) const;
+  /// tlbmap::nearest_holder over a frozen row, as a checked L2 id.
+  L2Id nearest_holder(L2Id me, const std::uint64_t* holders) const;
 
   void apply_victim_ops(L2Id victim);
   void reconcile(L2Id domain, std::vector<LineAddr>& lines);
@@ -193,8 +189,11 @@ class EpochEngine {
   std::vector<Memo> memos_;            ///< per core
   std::vector<Shard> shards_;          ///< one per L2 domain
   std::vector<std::size_t> active_shards_;  ///< domains with threads
-  std::vector<HolderSet> socket_mask_;      ///< per L2: L2s on its socket
-  std::unordered_map<LineAddr, FrozenLine> frozen_;
+  std::uint32_t words_ = 0;  ///< holder_words(num_domains_)
+  /// Row d = the L2s on d's socket (row-major, words_ per row).
+  std::vector<std::uint64_t> socket_mask_;
+  /// Epoch-start residency: line -> [holders | modified], words_ each.
+  LineTable frozen_;
   std::vector<std::vector<LineAddr>> commit_touched_;  ///< per victim
   std::vector<char> victim_dirty_;          ///< commit scratch
   std::vector<L2Id> victims_scratch_;

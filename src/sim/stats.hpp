@@ -70,7 +70,7 @@ struct MachineStats {
 
   /// Field-wise equality over every counter. The differential tests lean on
   /// this to prove the engine fast paths (coherence directory, translation
-  /// memo, heap scheduler) change no observable result.
+  /// memo, SoA tag scans) change no observable result.
   bool operator==(const MachineStats&) const = default;
 };
 

@@ -1,13 +1,17 @@
 // Unit tests for the MESI coherence domain: state transitions, snoop and
 // invalidation counting, writebacks, inclusive line drops, and the
 // intra/inter-socket traffic split.
+#include <algorithm>
 #include <cstdint>
+#include <random>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/coherence.hpp"
+#include "sim/line_table.hpp"
 
 namespace tlbmap {
 namespace {
@@ -362,100 +366,156 @@ TEST_F(CoherenceTest, DirectoryBillsFullProbeBroadcast) {
 
 // ---------------------------------------------------------------- HolderSet
 
-TEST(HolderSetTest, StaysInlineUpTo64Bits) {
-  HolderSet s;
-  for (const int b : {0, 5, 63}) s.set(b);
-  EXPECT_TRUE(s.is_inline());
-  EXPECT_EQ(s.num_words(), 1u);
-  EXPECT_EQ(s.count(), 3);
-  EXPECT_TRUE(s.test(63));
-  EXPECT_FALSE(s.test(7));
-  EXPECT_EQ(s.first(), 0);
-}
-
-TEST(HolderSetTest, GrowsOnHighBitsAndKeepsLowOnes) {
-  HolderSet s;
-  s.set(3);
-  s.set(200);  // word 3
-  EXPECT_FALSE(s.is_inline());
-  EXPECT_EQ(s.num_words(), 4u);
-  EXPECT_TRUE(s.test(3));
-  EXPECT_TRUE(s.test(200));
-  EXPECT_FALSE(s.test(64));
-  EXPECT_EQ(s.count(), 2);
-  s.reset(3);
-  EXPECT_EQ(s.first(), 200);
-  s.reset(200);
-  EXPECT_TRUE(s.none());
-}
-
 TEST(HolderSetTest, ForEachVisitsAscendingAcrossWords) {
-  HolderSet s;
-  for (const int b : {191, 3, 64, 67}) s.set(b);
+  std::uint64_t row[3] = {};
+  for (const int b : {191, 3, 64, 67}) set_holder(row, b);
   std::vector<int> seen;
-  s.for_each([&](int b) { seen.push_back(b); });
+  for_each_excluding(row, 3, -1, [&](int b) { seen.push_back(b); });
   EXPECT_EQ(seen, (std::vector<int>{3, 64, 67, 191}));
   seen.clear();
-  s.for_each_excluding(67, [&](int b) { seen.push_back(b); });
+  for_each_excluding(row, 3, 67, [&](int b) { seen.push_back(b); });
   EXPECT_EQ(seen, (std::vector<int>{3, 64, 191}));
 }
 
 TEST(HolderSetTest, FirstExcludingScansPastExcludedWord) {
-  HolderSet s;
-  s.set(70);
-  s.set(130);
-  EXPECT_EQ(s.first_excluding(70), 130);
-  EXPECT_EQ(s.first_excluding(0), 70);
-  HolderSet lone;
-  lone.set(5);
-  EXPECT_EQ(lone.first_excluding(5), -1);
+  std::uint64_t row[3] = {};
+  set_holder(row, 70);
+  set_holder(row, 130);
+  EXPECT_EQ(first_and_excluding(row, nullptr, 3, 70), 130);
+  EXPECT_EQ(first_and_excluding(row, nullptr, 3, 0), 70);
+  std::uint64_t lone[1] = {};
+  set_holder(lone, 5);
+  EXPECT_EQ(first_and_excluding(lone, nullptr, 1, 5), -1);
+  reset_holder(lone, 5);
+  EXPECT_TRUE(no_holders(lone, 1));
 }
 
 TEST(HolderSetTest, FirstAndExcludingIsTheSocketTieBreak) {
-  HolderSet holders;
-  holders.set(10);
-  holders.set(100);
-  holders.set(130);
-  HolderSet socket(192);  // mask for bits 96..191, say
-  for (int b = 96; b < 192; ++b) socket.set(b);
+  std::uint64_t holders[3] = {};
+  set_holder(holders, 10);
+  set_holder(holders, 100);
+  set_holder(holders, 130);
+  std::uint64_t socket[3] = {};  // mask for bits 96..191, say
+  for (int b = 96; b < 192; ++b) set_holder(socket, b);
   // Lowest holder on "my socket" wins over the lower global bit 10.
-  EXPECT_EQ(holders.first_and_excluding(socket, 130), 100);
-  EXPECT_EQ(holders.first_and_excluding(socket, 100), 130);
-  // Empty intersection: mask confined to a word the set never grew.
-  HolderSet small;
-  small.set(2);
-  EXPECT_EQ(small.first_and_excluding(socket, -1), -1);
-}
-
-TEST(HolderSetTest, EqualityIgnoresCapacity) {
-  HolderSet a;  // inline
-  a.set(9);
-  HolderSet b(256);  // heap, zero-extended
-  b.set(9);
-  EXPECT_TRUE(a == b);
-  b.set(200);
-  EXPECT_FALSE(a == b);
-  b.reset(200);
-  EXPECT_TRUE(a == b);
-}
-
-TEST(HolderSetTest, CopyAndMovePreserveBits) {
-  HolderSet s;
-  s.set(1);
-  s.set(150);
-  HolderSet copy = s;
-  EXPECT_TRUE(copy == s);
-  copy.set(2);
-  EXPECT_FALSE(copy == s);  // deep copy, not aliased
-  HolderSet moved = std::move(s);
-  EXPECT_TRUE(moved.test(150));
-  EXPECT_TRUE(moved.test(1));
+  EXPECT_EQ(first_and_excluding(holders, socket, 3, 130), 100);
+  EXPECT_EQ(first_and_excluding(holders, socket, 3, 100), 130);
+  // Empty intersection: the only holder is off the socket.
+  std::uint64_t small[3] = {};
+  set_holder(small, 2);
+  EXPECT_EQ(first_and_excluding(small, socket, 3, -1), -1);
 }
 
 TEST(HolderSetTest, CheckedL2IdRejectsOutOfRangeBits) {
   EXPECT_EQ(checked_l2id(63, 64), 63);
   EXPECT_THROW(checked_l2id(64, 64), std::logic_error);
   EXPECT_THROW(checked_l2id(1000, 256), std::logic_error);
+}
+
+// ---------------------------------------------------------------- LineTable
+
+using Rows = std::unordered_map<LineAddr, std::vector<std::uint64_t>>;
+
+/// The table holds exactly the oracle's entries, row for row.
+void expect_same_entries(const LineTable& table, const Rows& oracle) {
+  ASSERT_EQ(table.size(), oracle.size());
+  for (const auto& [line, row] : oracle) {
+    const std::uint64_t* found = table.find(line);
+    ASSERT_NE(found, nullptr) << "line " << line;
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), found)) << "line " << line;
+  }
+  std::size_t visited = 0;
+  table.for_each([&](LineAddr line, const std::uint64_t* found) {
+    ++visited;
+    const auto it = oracle.find(line);
+    ASSERT_NE(it, oracle.end()) << "stray line " << line;
+    ASSERT_TRUE(std::equal(it->second.begin(), it->second.end(), found));
+  });
+  EXPECT_EQ(visited, oracle.size());
+}
+
+// Random set/reset/erase traffic over a key pool large enough to force
+// several doublings, checked against std::unordered_map after every burst.
+// Resetting a row's last bit erases the entry, as the directory does.
+TEST(LineTableTest, MatchesUnorderedMapUnderRandomChurn) {
+  for (const std::uint32_t words : {1u, 4u, 8u}) {
+    LineTable table(words);
+    Rows oracle;
+    const int bits = static_cast<int>(words) * 64;
+    std::mt19937_64 rng(words);
+    for (int op = 0; op < 60000; ++op) {
+      // The pool widens over time, so the table keeps growing under churn.
+      const LineAddr line = rng() % static_cast<LineAddr>(200 + op / 8);
+      const int bit = static_cast<int>(rng() % static_cast<unsigned>(bits));
+      switch (rng() % 4) {
+        case 0:
+        case 1: {
+          set_holder(table.find_or_insert(line), bit);
+          auto& row = oracle[line];
+          row.resize(words);
+          set_holder(row.data(), bit);
+          break;
+        }
+        case 2: {
+          std::uint64_t* row = table.find(line);
+          const auto it = oracle.find(line);
+          ASSERT_EQ(row == nullptr, it == oracle.end()) << "op " << op;
+          if (row == nullptr) break;
+          reset_holder(row, bit);
+          reset_holder(it->second.data(), bit);
+          if (no_holders(row, words)) {
+            table.erase(line);
+            oracle.erase(it);
+          }
+          break;
+        }
+        default:
+          table.erase(line);
+          oracle.erase(line);
+          break;
+      }
+      if (op % 5000 == 0) expect_same_entries(table, oracle);
+    }
+    expect_same_entries(table, oracle);
+    EXPECT_GT(table.capacity(), 1024u) << "the pool never forced growth";
+    table.clear();
+    EXPECT_EQ(table.size(), 0u);
+    EXPECT_EQ(table.find(0), nullptr);
+  }
+}
+
+// Probe chains that start in the last slots wrap to slot 0. Erasing from
+// the middle of such a chain must shift the wrapped entries back across the
+// boundary, and must leave entries that live at their home slot 0 alone.
+TEST(LineTableTest, BackwardShiftEraseAcrossTheWrap) {
+  LineTable table(2);
+  const std::size_t last = table.capacity() - 1;
+  std::vector<LineAddr> at_last, at_zero;
+  for (LineAddr line = 0; at_last.size() < 3 || at_zero.size() < 2; ++line) {
+    if (table.home(line) == last && at_last.size() < 3) at_last.push_back(line);
+    if (table.home(line) == 0 && at_zero.size() < 2) at_zero.push_back(line);
+  }
+  // Slot layout after the inserts: last: L0, 0: L1, 1: Z0, 2: L2, 3: Z1.
+  const std::vector<LineAddr> order = {at_last[0], at_last[1], at_zero[0],
+                                       at_last[2], at_zero[1]};
+  for (const std::vector<std::size_t>& erase_order :
+       std::vector<std::vector<std::size_t>>{
+           {0, 1, 2, 3, 4}, {1, 0, 3, 2, 4}, {2, 4, 0, 3, 1}, {3, 1, 4, 0, 2}}) {
+    Rows oracle;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      std::uint64_t* row = table.find_or_insert(order[i]);
+      row[0] = i + 1;
+      row[1] = ~i;
+      oracle[order[i]] = {i + 1, ~i};
+    }
+    expect_same_entries(table, oracle);
+    for (const std::size_t victim : erase_order) {
+      table.erase(order[victim]);
+      oracle.erase(order[victim]);
+      expect_same_entries(table, oracle);
+    }
+    EXPECT_EQ(table.size(), 0u);
+  }
 }
 
 // --------------------------------------- beyond 64 L2s (multi-word holders)

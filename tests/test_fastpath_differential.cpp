@@ -1,13 +1,16 @@
 // Differential tests for the simulator's engine fast paths. Each fast path
 // (the coherence line-occupancy directory, the per-core translation memo +
-// sibling-shootdown presence check, the heap thread scheduler) claims to be
-// a pure acceleration: the simulated outcome — every MachineStats counter —
-// must be bit-identical to the reference path. These tests run real NPB
+// sibling-shootdown presence check, the SoA tag scans) claims to be a pure
+// acceleration: the simulated outcome — every MachineStats counter — must
+// be bit-identical to the reference path. These tests run real NPB
 // workloads under both paths and compare the full counter structs, across
 // UMA and both NUMA policies, static and migrating (dynamic) runs. They
 // also hold the directory to its ground truth: after arbitrary runs, every
-// directory bit must agree with the actual L2 contents.
+// directory bit must agree with the actual L2 contents. The scheduler has
+// no second path left; golden counters recorded with the pickers it
+// replaced pin it instead.
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,14 +52,29 @@ MachineConfig machine_variant(const std::string& variant) {
 /// One full run at the Machine level with every engine knob exposed.
 MachineStats run_app(const MachineConfig& machine_config,
                      const Workload& workload, const Mapping& mapping,
-                     bool fast_hierarchy, int heap_threshold,
-                     std::uint64_t seed) {
+                     bool fast_hierarchy, std::uint64_t seed) {
   Machine machine(machine_config);
   machine.hierarchy().set_fast_path_enabled(fast_hierarchy);
   Machine::RunConfig run;
   run.thread_to_core = mapping;
-  run.scheduler_heap_threshold = heap_threshold;
   return machine.run(streams_of(workload, seed), run);
+}
+
+/// Every MachineStats counter in declaration order, one line. The golden
+/// tests compare against this form so a mismatch names the field.
+std::string counters_of(const MachineStats& s) {
+  std::ostringstream os;
+  os << "acc=" << s.accesses << " rd=" << s.reads << " wr=" << s.writes
+     << " tlb=" << s.tlb_hits << "/" << s.tlb_misses << " l1=" << s.l1_hits
+     << "/" << s.l1_misses << " l2=" << s.l2_accesses << "/" << s.l2_hits
+     << "/" << s.l2_misses << " inv=" << s.invalidations
+     << " snoop=" << s.snoop_transactions << " wb=" << s.writebacks
+     << " mem=" << s.memory_fetches << "/" << s.memory_fetches_local << "/"
+     << s.memory_fetches_remote << " msg=" << s.intra_socket_messages << "/"
+     << s.inter_socket_messages << " cyc=" << s.execution_cycles
+     << " ovh=" << s.detection_overhead_cycles
+     << " search=" << s.detector_searches;
+  return os.str();
 }
 
 struct DiffParam {
@@ -87,10 +105,10 @@ TEST_P(CoherenceDirectoryDifferential, BitIdenticalStatsToBroadcast) {
   for (const Mapping& mapping : mappings) {
     const MachineStats with_directory =
         run_app(directory_config, *workload, mapping,
-                /*fast_hierarchy=*/true, /*heap_threshold=*/16, /*seed=*/5);
+                /*fast_hierarchy=*/true, /*seed=*/5);
     const MachineStats with_broadcast =
         run_app(broadcast_config, *workload, mapping,
-                /*fast_hierarchy=*/true, /*heap_threshold=*/16, /*seed=*/5);
+                /*fast_hierarchy=*/true, /*seed=*/5);
     EXPECT_TRUE(with_directory == with_broadcast)
         << app << "/" << variant << ": directory and broadcast stats differ "
         << "(cycles " << with_directory.execution_cycles << " vs "
@@ -113,11 +131,9 @@ TEST_P(CoherenceDirectoryDifferential, HierarchyFastPathIsInvisible) {
   const Mapping mapping = random_mapping(workload->num_threads(),
                                          config.num_cores(), /*seed=*/31);
   const MachineStats fast = run_app(config, *workload, mapping,
-                                    /*fast_hierarchy=*/true,
-                                    /*heap_threshold=*/16, /*seed=*/7);
+                                    /*fast_hierarchy=*/true, /*seed=*/7);
   const MachineStats slow = run_app(config, *workload, mapping,
-                                    /*fast_hierarchy=*/false,
-                                    /*heap_threshold=*/16, /*seed=*/7);
+                                    /*fast_hierarchy=*/false, /*seed=*/7);
   EXPECT_TRUE(fast == slow)
       << app << "/" << variant << ": hierarchy fast path changed stats "
       << "(tlb " << fast.tlb_hits << "/" << fast.tlb_misses << " vs "
@@ -184,14 +200,12 @@ TEST(ScanKernelDifferential, SimdAndScalarScansProduceIdenticalRuns) {
                                            config.num_cores(), /*seed=*/53);
     ASSERT_TRUE(simd_scan_enabled());  // default on
     const MachineStats simd = run_app(config, *workload, mapping,
-                                      /*fast_hierarchy=*/true,
-                                      /*heap_threshold=*/16, /*seed=*/7);
+                                      /*fast_hierarchy=*/true, /*seed=*/7);
     MachineStats scalar;
     {
       ScopedScalarScan scoped;
       scalar = run_app(config, *workload, mapping,
-                       /*fast_hierarchy=*/true, /*heap_threshold=*/16,
-                       /*seed=*/7);
+                       /*fast_hierarchy=*/true, /*seed=*/7);
     }
     EXPECT_TRUE(simd == scalar)
         << variant << ": SoA tag scan changed simulated results (tlb "
@@ -225,51 +239,116 @@ TEST(ScanKernelDifferential, HmSweepMatchesScalarOnDynamicRuns) {
   EXPECT_EQ(simd.final_mapping, scalar.final_mapping);
 }
 
-// The heap and linear min-clock pickers must choose the same thread at
-// every step (including the lowest-id tie-break), so whole runs agree.
-TEST(SchedulerDifferential, HeapAndLinearPickersProduceIdenticalRuns) {
-  for (const char* app : {"SP", "CG", "IS"}) {
-    const auto workload = make_npb_workload(app, small_params());
+// Golden runs for the scheduler. The retired pickers — a linear scan below
+// 16 threads and a lazy binary heap above — agreed on every run; these
+// counters were recorded with them, and the winner tree must reproduce them
+// bit for bit (it is unit-tested against a brute-force scan in
+// test_machine.cpp).
+TEST(SchedulerGolden, HarpertownAppsMatchRetiredPickers) {
+  const struct {
+    const char* app;
+    const char* counters;
+  } cases[] = {
+      {"SP", "acc=190464 rd=141312 wr=49152 tlb=190180/284 l1=86784/103680 l2=152832/132608/20224 inv=3840 snoop=3840 wb=2560 mem=16384/16384/0 msg=23296/45056 cyc=548521 ovh=0 search=0"},
+      {"CG", "acc=94208 rd=65536 wr=28672 tlb=93994/214 l1=45795/48413 l2=71063/54249/16814 inv=4417 snoop=4462 wb=3679 mem=12352/12352/0 msg=20017/39027 cyc=368664 ovh=0 search=0"},
+      {"IS", "acc=126976 rd=98304 wr=28672 tlb=126436/540 l1=45230/81746 l2=85842/54040/31802 inv=2446 snoop=3982 wb=2958 mem=27820/27820/0 msg=33803/65585 cyc=663165 ovh=0 search=0"},
+  };
+  for (const auto& c : cases) {
+    const auto workload = make_npb_workload(c.app, small_params());
     const MachineConfig config = MachineConfig::harpertown();
     const Mapping mapping = random_mapping(workload->num_threads(),
                                            config.num_cores(), /*seed=*/17);
-    const MachineStats heap = run_app(config, *workload, mapping,
-                                      /*fast_hierarchy=*/true,
-                                      /*heap_threshold=*/1, /*seed=*/3);
-    const MachineStats linear = run_app(config, *workload, mapping,
-                                        /*fast_hierarchy=*/true,
-                                        /*heap_threshold=*/1 << 20,
-                                        /*seed=*/3);
-    EXPECT_TRUE(heap == linear)
-        << app << ": heap scheduler diverged from linear scan (cycles "
-        << heap.execution_cycles << " vs " << linear.execution_cycles << ")";
+    const MachineStats stats = run_app(config, *workload, mapping,
+                                       /*fast_hierarchy=*/true, /*seed=*/3);
+    EXPECT_EQ(counters_of(stats), c.counters) << c.app;
   }
 }
 
-// A migrating run under the forced heap scheduler: barrier releases and
-// migrations rebuild the heap, and the run must still match the linear scan.
-TEST(SchedulerDifferential, HeapSurvivesBarriersAndMigrations) {
+// The OnlineMapper run the heap picker was differentially tested on: the
+// mapper observes every access and is consulted at every barrier release,
+// where the tree is rebuilt.
+TEST(SchedulerGolden, MigratingOnlineMapperRunMatchesRetiredPickers) {
   const auto workload = make_npb_workload("BT", small_params());
   const MachineConfig config = MachineConfig::harpertown();
   const Mapping initial = identity_mapping(workload->num_threads());
   OnlineMapperConfig online;
   online.remap_every_barriers = 2;
 
-  auto run_dynamic = [&](int heap_threshold) {
-    // evaluate_dynamic drives Machine::run internally with the default
-    // threshold; replicate it at the Machine level to force the picker.
-    Machine machine(config);
-    OnlineMapper mapper(machine, workload->num_threads(), initial, online);
-    Machine::RunConfig run;
-    run.thread_to_core = initial;
-    run.observer = &mapper;
-    run.migration = &mapper;
-    run.scheduler_heap_threshold = heap_threshold;
-    return machine.run(streams_of(*workload, /*seed=*/11), run);
-  };
-  const MachineStats heap = run_dynamic(1);
-  const MachineStats linear = run_dynamic(1 << 20);
-  EXPECT_TRUE(heap == linear);
+  Machine machine(config);
+  OnlineMapper mapper(machine, workload->num_threads(), initial, online);
+  Machine::RunConfig run;
+  run.thread_to_core = initial;
+  run.observer = &mapper;
+  run.migration = &mapper;
+  const MachineStats stats =
+      machine.run(streams_of(*workload, /*seed=*/11), run);
+  EXPECT_EQ(counters_of(stats), "acc=137216 rd=88064 wr=49152 tlb=136036/1180 l1=61696/75520 l2=124672/74752/49920 inv=768 snoop=768 wb=0 mem=49152/49152/0 msg=50944/100352 cyc=1066236 ovh=5544 search=0");
+}
+
+/// Charges 5 cycles per TLB miss to the issuing thread and stalls every
+/// thread for 300 cycles whenever global time passes the next 20,000-cycle
+/// mark: the cost shape of the detectors, without their matrices.
+class PeriodicStallObserver : public MachineObserver {
+ public:
+  Cycles on_access(ThreadId, CoreId, VirtAddr, PageNum, AccessType,
+                   bool tlb_miss, Cycles) override {
+    return tlb_miss ? 5 : 0;
+  }
+  Cycles on_tick(Cycles now) override {
+    if (now < next_stall_) return 0;
+    next_stall_ = now + 20000;
+    return 300;
+  }
+
+ private:
+  Cycles next_stall_ = 20000;
+};
+
+/// Moves every thread one core over at every second barrier.
+class RotatingPolicy : public MigrationPolicy {
+ public:
+  RotatingPolicy(int threads, int cores) : threads_(threads), cores_(cores) {}
+
+  std::vector<CoreId> on_barrier(int barrier_index, Cycles) override {
+    if (barrier_index % 2 != 0) return {};
+    std::vector<CoreId> next(static_cast<std::size_t>(threads_));
+    for (int t = 0; t < threads_; ++t) {
+      next[static_cast<std::size_t>(t)] = (t + barrier_index / 2) % cores_;
+    }
+    return next;
+  }
+
+ private:
+  int threads_;
+  int cores_;
+};
+
+// 256 threads on the 256-L2 mesh through the serial loop: the regime the
+// heap picker served, with the multi-word directory underneath. The second
+// run adds global stalls, which shift every runnable key of the tree, and
+// migrations, which rebuild it.
+TEST(SchedulerGolden, Manycore256ThreadSerialRunsMatchRetiredPickers) {
+  WorkloadParams params = small_params(256);
+  params.size_scale = 0.25;
+  params.iter_scale = 0.1;
+  const auto workload = make_npb_workload("SP", params);
+  const MachineConfig config = MachineConfig::manycore();
+  const Mapping mapping = random_mapping(workload->num_threads(),
+                                         config.num_cores(), /*seed=*/71);
+  const MachineStats plain = run_app(config, *workload, mapping,
+                                     /*fast_hierarchy=*/true, /*seed=*/23);
+  EXPECT_EQ(counters_of(plain), "acc=1047552 rd=785408 wr=262144 tlb=1041926/5626 l1=490624/556928 l2=819072/262144/556928 inv=16037 snoop=32401 wb=229376 mem=524527/508591/15936 msg=3899648/138165430 cyc=395787 ovh=0 search=0");
+
+  Machine machine(config);
+  PeriodicStallObserver observer;
+  RotatingPolicy policy(workload->num_threads(), config.num_cores());
+  Machine::RunConfig run;
+  run.thread_to_core = mapping;
+  run.observer = &observer;
+  run.migration = &policy;
+  const MachineStats stalled =
+      machine.run(streams_of(*workload, /*seed=*/23), run);
+  EXPECT_EQ(counters_of(stalled), "acc=1047552 rd=785408 wr=262144 tlb=1041926/5626 l1=490624/556928 l2=819072/262144/556928 inv=16037 snoop=32401 wb=229376 mem=524527/508591/15936 msg=3899648/138165430 cyc=403897 ovh=6110 search=0");
 }
 
 // Manycore parity: the same contract far past the 64-L2 inline holder word.
@@ -305,10 +384,10 @@ TEST(ManycoreDifferential, DirectoryMatchesBroadcastPast64L2s) {
 
     const MachineStats with_directory =
         run_app(directory_config, *workload, mapping,
-                /*fast_hierarchy=*/true, /*heap_threshold=*/16, /*seed=*/23);
+                /*fast_hierarchy=*/true, /*seed=*/23);
     const MachineStats with_broadcast =
         run_app(broadcast_config, *workload, mapping,
-                /*fast_hierarchy=*/true, /*heap_threshold=*/16, /*seed=*/23);
+                /*fast_hierarchy=*/true, /*seed=*/23);
     EXPECT_TRUE(with_directory == with_broadcast)
         << c.name << ": directory and broadcast stats differ (cycles "
         << with_directory.execution_cycles << " vs "
@@ -345,6 +424,30 @@ TEST(ManycoreDifferential, DirectoryEnabledAndConsistentAt256L2s) {
   EXPECT_GT(coherence.directory_stats().holder_hits, 0u);
 }
 
+// IS's all-to-all key exchange misses in L2 constantly (about 0.9M misses
+// here against under 8k lines left at the end), so most directory entries
+// die by eviction or invalidation: the flat table's backward-shift erase
+// runs hundreds of thousands of times on 256 L2s before the ground-truth
+// check.
+TEST(ManycoreDifferential, DirectoryConsistentAfterEraseHeavyIsRunAt256L2s) {
+  WorkloadParams params = small_params(64);
+  params.size_scale = 0.25;
+  params.iter_scale = 0.1;
+  const auto workload = make_npb_workload("IS", params);
+  const MachineConfig config = MachineConfig::manycore();
+  Machine machine(config);
+  Machine::RunConfig run;
+  run.thread_to_core = random_mapping(workload->num_threads(),
+                                      config.num_cores(), /*seed=*/89);
+  const MachineStats stats =
+      machine.run(streams_of(*workload, /*seed=*/31), run);
+
+  const CoherenceDomain& coherence = machine.hierarchy().coherence();
+  EXPECT_TRUE(coherence.directory_consistent());
+  EXPECT_GT(stats.invalidations, 0u);
+  EXPECT_GT(coherence.directory_stats().holder_visits, 0u);
+}
+
 // Ground truth for the directory itself: after an arbitrary run, the holder
 // bitmasks must match the L2 contents exactly in both directions — no stale
 // bits, no untracked lines. (The sanitize CI job runs this under
@@ -378,7 +481,7 @@ TEST(CoherenceDirectoryInvariant, MasksMatchCacheContentsAfterRuns) {
 
 // The epoch-parallel engine composes with every engine fast path tested
 // above: on the coherence-bound 256-core manycore preset, workers=8 with
-// the full fast-path stack (directory + memo + heap scheduler) must equal
+// the full fast-path stack (directory + memo + tag scans) must equal
 // workers=1 bit for bit — the acceptance contract of the parallel core
 // (test_parallel_machine.cpp holds the rest of it).
 TEST(ManycoreDifferential, EpochEngineWorkers8MatchWorkers1At256Cores) {

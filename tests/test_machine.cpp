@@ -1,11 +1,14 @@
 // Tests for the event-driven machine: clocks, barriers, observer hooks,
-// mapping validation and determinism.
+// mapping validation and determinism, and its min-clock thread picker.
+#include <algorithm>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/machine.hpp"
+#include "sim/min_clock_tree.hpp"
 
 namespace tlbmap {
 namespace {
@@ -341,6 +344,94 @@ TEST(Machine, CountersConsistent) {
   EXPECT_EQ(s.l1_hits + s.l1_misses, s.accesses);
   EXPECT_EQ(s.l2_hits + s.l2_misses, s.l2_accesses);
   EXPECT_LE(s.l2_misses, s.l2_accesses);
+}
+
+// ------------------------------------------------------------ MinClockTree
+
+constexpr Cycles kBlocked = MinClockTree::kBlocked;
+
+/// Brute-force oracle: the lowest (key, id) among non-blocked keys.
+int scan_min(const std::vector<Cycles>& keys) {
+  int best = -1;
+  for (int t = 0; t < static_cast<int>(keys.size()); ++t) {
+    if (keys[t] == kBlocked) continue;
+    if (best == -1 || keys[t] < keys[static_cast<std::size_t>(best)]) best = t;
+  }
+  return best;
+}
+
+TEST(MinClockTree, EqualClocksPickLowestId) {
+  MinClockTree tree(9);
+  EXPECT_EQ(tree.top(), -1);
+  for (int t = 0; t < 9; ++t) tree.assign(t, 5);
+  tree.rebuild();
+  EXPECT_EQ(tree.top(), 0);
+  tree.update(0, 6);
+  EXPECT_EQ(tree.top(), 1);
+  tree.update(1, kBlocked);
+  tree.update(8, 4);
+  EXPECT_EQ(tree.top(), 8);
+  tree.update(8, 5);
+  EXPECT_EQ(tree.top(), 2);
+  tree.shift(10);
+  EXPECT_EQ(tree.top(), 2);
+}
+
+// Seeded random schedules in the shape of the event loop: the winner
+// issues and its clock moves (often not at all, so ties are frequent);
+// threads block at barriers and finish for good; barrier releases rebuild
+// in bulk; global stalls shift every runnable key while the issuing
+// thread's leaf still lags, exactly as Machine::run does. After every step
+// the tree must name the thread the linear scan names.
+TEST(MinClockTree, MatchesLinearScanOnRandomSchedules) {
+  for (const int size : {1, 7, 8, 9, 256}) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(size) * 7919);
+    MinClockTree tree(size);
+    std::vector<Cycles> keys(static_cast<std::size_t>(size), 0);
+    std::vector<bool> done(static_cast<std::size_t>(size), false);
+    for (int t = 0; t < size; ++t) tree.assign(t, 0);
+    tree.rebuild();
+    for (int step = 0; step < 20000; ++step) {
+      const int winner = tree.top();
+      ASSERT_EQ(winner, scan_min(keys)) << "size " << size << " step " << step;
+      const std::uint64_t op = rng() % 100;
+      if (winner == -1 || op < 3) {
+        // Barrier release: every live thread resumes at a fresh clock.
+        Cycles base = 0;
+        for (int t = 0; t < size; ++t) {
+          if (keys[static_cast<std::size_t>(t)] != kBlocked) {
+            base = std::max(base, keys[static_cast<std::size_t>(t)]);
+          }
+        }
+        for (int t = 0; t < size; ++t) {
+          const auto i = static_cast<std::size_t>(t);
+          keys[i] = done[i] ? kBlocked : base + rng() % 3;
+          tree.assign(t, keys[i]);
+        }
+        tree.rebuild();
+        continue;
+      }
+      const auto w = static_cast<std::size_t>(winner);
+      if (op < 10) {
+        keys[w] = kBlocked;  // reaches a barrier
+      } else if (op < 12) {
+        keys[w] = kBlocked;  // finishes
+        done[w] = true;
+      } else {
+        keys[w] += rng() % 4;  // issues an access
+        if (op < 20) {
+          // Global stall: every runnable clock moves, the winner's leaf
+          // still holds its pre-event key until the update below.
+          const Cycles delta = 1 + rng() % 50;
+          for (Cycles& k : keys) {
+            if (k != kBlocked) k += delta;
+          }
+          tree.shift(delta);
+        }
+      }
+      tree.update(winner, keys[w]);
+    }
+  }
 }
 
 }  // namespace

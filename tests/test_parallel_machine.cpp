@@ -56,6 +56,23 @@ MachineStats run_workers(const MachineConfig& machine_config,
   return machine.run(streams_of(workload, seed), run);
 }
 
+/// Every MachineStats counter in declaration order, one line. The golden
+/// test compares against this form so a mismatch names the field.
+std::string counters_of(const MachineStats& s) {
+  std::ostringstream os;
+  os << "acc=" << s.accesses << " rd=" << s.reads << " wr=" << s.writes
+     << " tlb=" << s.tlb_hits << "/" << s.tlb_misses << " l1=" << s.l1_hits
+     << "/" << s.l1_misses << " l2=" << s.l2_accesses << "/" << s.l2_hits
+     << "/" << s.l2_misses << " inv=" << s.invalidations
+     << " snoop=" << s.snoop_transactions << " wb=" << s.writebacks
+     << " mem=" << s.memory_fetches << "/" << s.memory_fetches_local << "/"
+     << s.memory_fetches_remote << " msg=" << s.intra_socket_messages << "/"
+     << s.inter_socket_messages << " cyc=" << s.execution_cycles
+     << " ovh=" << s.detection_overhead_cycles
+     << " search=" << s.detector_searches;
+  return os.str();
+}
+
 struct ParallelParam {
   const char* app;
   const char* variant;  ///< "uma" | "numa_first_touch" | "numa_interleave"
@@ -283,6 +300,44 @@ TEST(EpochEngineAcceptance, Manycore256Workers8MatchesWorkers1) {
       << "workers=8 diverged from workers=1 on manycore (cycles "
       << parallel.execution_cycles << " vs " << reference.execution_cycles
       << ")";
+}
+
+// Golden counters of 64-thread manycore epoch runs, recorded before the
+// frozen view moved to the flat line table. Worker invariance alone cannot
+// catch a frozen-view change that alters every worker count the same way;
+// these values can. CG's commits downgrade Modified lines, so a modified
+// row that is not cleared at the commit shows up in its writebacks.
+TEST(EpochEngineGolden, Manycore64ThreadsMatchRecordedCounters) {
+  const struct {
+    const char* app;
+    const char* counters;
+  } cases[] = {
+      {"SP",
+       "acc=261120 rd=195584 wr=65536 tlb=259718/1402 l1=121984/139136 "
+       "l2=204672/65536/139136 inv=8064 snoop=8064 wb=57344 "
+       "mem=131072/123264/7808 msg=974464/34521344 cyc=402255 ovh=0 "
+       "search=0"},
+      {"CG",
+       "acc=303104 rd=237568 wr=65536 tlb=302146/958 l1=61048/242056 "
+       "l2=283484/83132/200352 inv=917 snoop=10338 wb=47199 "
+       "mem=190014/149970/40044 msg=1402933/49697272 cyc=718590 ovh=0 "
+       "search=0"},
+  };
+  WorkloadParams params = small_params(64);
+  params.size_scale = 0.25;
+  params.iter_scale = 0.1;
+  const MachineConfig config = MachineConfig::manycore();
+  for (const auto& c : cases) {
+    const auto workload = make_npb_workload(c.app, params);
+    const Mapping mapping = random_mapping(workload->num_threads(),
+                                           config.num_cores(), /*seed=*/71);
+    for (const int workers : {1, 4}) {
+      const MachineStats stats =
+          run_workers(config, *workload, mapping, workers, /*seed=*/23);
+      EXPECT_EQ(counters_of(stats), c.counters)
+          << c.app << " workers=" << workers;
+    }
+  }
 }
 
 // epoch_events is part of the simulated semantics (it bounds cross-domain
