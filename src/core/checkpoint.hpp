@@ -24,6 +24,10 @@
 // running config yields ErrorCode::kCheckpointMismatch. Neither ever
 // throws: callers fall back to a fresh run.
 //
+// The suite cache entry is the same file with every task done
+// (serialize_suite), so parse_checkpoint is the one decoder for a suite
+// result, whether --resume or a cache hit reads it back.
+//
 // Files are written through atomic_write_file, so a crash mid-write leaves
 // either the previous checkpoint or none — never a torn one.
 #pragma once
@@ -35,24 +39,22 @@
 #include <string_view>
 #include <vector>
 
-#include "core/codec.hpp"
-#include "core/dynamic.hpp"
 #include "core/expected.hpp"
 #include "core/pipeline.hpp"
-#include "detect/hm_detector.hpp"
 
 namespace tlbmap {
 
 /// Current checkpoint format version (envelope field at offset 4).
-/// Version history: 1 = PR 5 seed formats; 2 = PR 10, OnlineMapperState
-/// grew the self-stabilization trail (canary transaction, phase detector,
-/// rollback damping), so older mapper snapshots no longer parse.
+/// Version history: 1 = first format; 2 = the online-mapper snapshot
+/// (since removed) grew its self-stabilization trail. The suite payload is
+/// the same in both.
 inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Progress snapshot of one run_suite invocation. Task indices are the
 /// suite's stable global indices: detect task i covers app i/3 with
 /// mechanism i%3 (SM, HM, oracle); eval task i covers app i/(3*reps),
-/// policy (i/reps)%3 (OS, SM, HM), repetition i%reps.
+/// policy i%3 (OS, SM, HM), repetition (i/3)%reps. A snapshot with every
+/// task done is also the suite cache entry (serialize_suite).
 struct SuiteCheckpoint {
   /// suite_config_hash() of the config that produced this snapshot.
   std::uint64_t config_hash = 0;
@@ -97,33 +99,5 @@ Expected<void> save_checkpoint(const std::filesystem::path& path,
 /// read_file + parse_checkpoint. kIoError when the file cannot be read.
 Expected<SuiteCheckpoint> load_checkpoint(const std::filesystem::path& path,
                                           std::uint64_t expected_hash);
-
-// Shared field codecs over core/codec.hpp, reused by every payload format
-// in this file: fixed-width little-endian fields, length-prefixed
-// containers, range-checked on read.
-void write_stats(BinWriter& w, const MachineStats& s);
-MachineStats read_stats(BinReader& r);
-void write_matrix(BinWriter& w, const CommMatrix& m);
-CommMatrix read_matrix(BinReader& r);
-void write_mapping(BinWriter& w, const Mapping& m);
-Mapping read_mapping(BinReader& r);
-
-// Mid-run detector / online-mapper snapshots (payload-level encodings;
-// wrap in seal_checkpoint or the save/load helpers below for files).
-std::string serialize_sm_state(const SmDetectorState& state);
-Expected<SmDetectorState> parse_sm_state(std::string_view payload);
-std::string serialize_hm_state(const HmDetectorState& state);
-Expected<HmDetectorState> parse_hm_state(std::string_view payload);
-std::string serialize_mapper_state(const OnlineMapperState& state);
-Expected<OnlineMapperState> parse_mapper_state(std::string_view payload);
-
-/// OnlineMapper decision-state file helpers: the envelope's hash field
-/// carries `tag` (caller-chosen, e.g. a config hash), so a snapshot from
-/// one setup is rejected structurally when loaded into another.
-Expected<void> save_mapper_checkpoint(const std::filesystem::path& path,
-                                      const OnlineMapperState& state,
-                                      std::uint64_t tag);
-Expected<OnlineMapperState> load_mapper_checkpoint(
-    const std::filesystem::path& path, std::uint64_t tag);
 
 }  // namespace tlbmap

@@ -1,9 +1,8 @@
 // Little-endian binary payload codec behind the sealed checkpoint envelope
 // (DESIGN.md Sec. 12).
 //
-// The suite checkpoint and the detector/mapper state snapshots all write
-// the same fixed-width little-endian fields and want the same sticky-error
-// decode discipline, so the writer/reader pair lives here once.
+// The suite checkpoint's fixed-width little-endian fields and its
+// sticky-error decode discipline live here, below the envelope code.
 //
 // BinReader's error handling is deliberately "sticky": the first failure
 // records a structured Error carrying the byte offset where the damage was
@@ -31,7 +30,6 @@ class BinWriter {
  public:
   void u32(std::uint32_t v) { append_u32(out_, v); }
   void u64(std::uint64_t v) { append_u64(out_, v); }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void boolean(bool v) { out_.push_back(v ? '\1' : '\0'); }
   void str(std::string_view s) {
     u64(s.size());
@@ -61,7 +59,6 @@ class BinReader {
     pos_ += 8;
     return v;
   }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   bool boolean() {
     if (!need(1, "bool")) return false;
     const unsigned char c = static_cast<unsigned char>(data_[pos_]);

@@ -12,8 +12,8 @@ namespace tlbmap {
 namespace {
 
 /// Saturating subtraction: cumulative counters are monotone within a run,
-/// but restored anchors driven against a fresh stats block must degrade to
-/// an empty window, not wrap.
+/// but anchors driven against a smaller stats block (a caller mixing the
+/// two on_barrier overloads) must degrade to an empty window, not wrap.
 std::uint64_t sub_sat(std::uint64_t a, std::uint64_t b) {
   return a >= b ? a - b : 0;
 }
@@ -67,67 +67,6 @@ OnlineMapper::OnlineMapper(Machine& machine, int num_threads,
   if (plan.matrix_flip_rate > 0.0 || plan.matrix_zero_rate > 0.0) {
     fault_.emplace(plan, FaultInjector::kOnlineSalt);
   }
-}
-
-OnlineMapperState OnlineMapper::state() const {
-  OnlineMapperState s;
-  s.detector = detector_.state();
-  s.mapping = current_;
-  s.migrations = migrations_;
-  s.remap_decisions = remap_decisions_;
-  s.degraded_decisions = degraded_decisions_;
-  s.cooldown_left = cooldown_left_;
-  s.rollbacks = rollbacks_;
-  s.canary_commits = canary_commits_;
-  s.backoff_skips = backoff_skips_;
-  s.canary_left = canary_left_;
-  s.backoff_left = backoff_left_;
-  s.phase_rollbacks = phase_rollbacks_;
-  s.canary_prev = canary_prev_;
-  s.canary_cost = canary_cost_;
-  s.canary_accesses = canary_accesses_;
-  s.baseline_cost = baseline_cost_;
-  s.baseline_accesses = baseline_accesses_;
-  s.decision_cost = decision_cost_;
-  s.decision_accesses = decision_accesses_;
-  s.phase_cost = phase_cost_;
-  s.phase_accesses = phase_accesses_;
-  s.phase = phase_.state();
-  return s;
-}
-
-void OnlineMapper::restore(const OnlineMapperState& state) {
-  if (state.mapping.size() != current_.size()) {
-    throw std::invalid_argument(
-        "OnlineMapper::restore: snapshot mapping length mismatch");
-  }
-  if (!state.canary_prev.empty() &&
-      state.canary_prev.size() != current_.size()) {
-    throw std::invalid_argument(
-        "OnlineMapper::restore: snapshot canary placement length mismatch");
-  }
-  detector_.restore(state.detector);  // throws on matrix-size mismatch
-  phase_.restore(state.phase);        // throws on shape mismatch
-  current_ = state.mapping;
-  migrations_ = state.migrations;
-  remap_decisions_ = state.remap_decisions;
-  degraded_decisions_ = state.degraded_decisions;
-  cooldown_left_ = state.cooldown_left;
-  rollbacks_ = state.rollbacks;
-  canary_commits_ = state.canary_commits;
-  backoff_skips_ = state.backoff_skips;
-  canary_left_ = state.canary_left;
-  backoff_left_ = state.backoff_left;
-  phase_rollbacks_ = state.phase_rollbacks;
-  canary_prev_ = state.canary_prev;
-  canary_cost_ = state.canary_cost;
-  canary_accesses_ = state.canary_accesses;
-  baseline_cost_ = state.baseline_cost;
-  baseline_accesses_ = state.baseline_accesses;
-  decision_cost_ = state.decision_cost;
-  decision_accesses_ = state.decision_accesses;
-  phase_cost_ = state.phase_cost;
-  phase_accesses_ = state.phase_accesses;
 }
 
 Cycles OnlineMapper::on_access(ThreadId thread, CoreId core, VirtAddr addr,

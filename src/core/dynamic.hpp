@@ -90,44 +90,6 @@ struct OnlineMapperConfig {
   void validate() const;
 };
 
-/// Serializable decision state of an OnlineMapper (DESIGN.md Sec. 12/17):
-/// the embedded SM detector's snapshot, the current placement, the
-/// decision/hysteresis cursors, and the whole self-stabilization trail —
-/// open canary transaction, phase-anchored baseline, rollback/backoff
-/// damping and phase-detector snapshot. Restoring it into a fresh mapper
-/// of the same shape reproduces the original's future remap decisions,
-/// canary verdicts and rollbacks exactly (faultless plans).
-struct OnlineMapperState {
-  SmDetectorState detector;
-  Mapping mapping;
-  std::int32_t migrations = 0;
-  std::int32_t remap_decisions = 0;
-  std::int32_t degraded_decisions = 0;
-  std::int32_t cooldown_left = 0;
-  // Self-stabilization trail (PR 10).
-  std::int32_t rollbacks = 0;
-  std::int32_t canary_commits = 0;
-  std::int32_t backoff_skips = 0;
-  std::int32_t canary_left = 0;       ///< > 0 = a canary window is open
-  std::int32_t backoff_left = 0;      ///< remap decisions still damped
-  std::int32_t phase_rollbacks = 0;   ///< rollbacks since the phase began
-  Mapping canary_prev;                ///< pre-move placement (empty = none)
-  // "cost" below is simulated cycles (barrier-release time): the canary
-  // verdict compares cycles-per-access rates, the one counter pair that
-  // directly prices a placement's stall/locality impact.
-  std::uint64_t canary_cost = 0;      ///< cumulative cycles at canary open
-  std::uint64_t canary_accesses = 0;  ///< cumulative accesses at canary open
-  std::uint64_t baseline_cost = 0;    ///< phase cycle sum at canary open
-  std::uint64_t baseline_accesses = 0;
-  std::uint64_t decision_cost = 0;    ///< cumulative cycles at last decision
-  std::uint64_t decision_accesses = 0;
-  std::uint64_t phase_cost = 0;       ///< cycles accumulated this phase
-  std::uint64_t phase_accesses = 0;
-  PhaseDetectorState phase;
-
-  bool operator==(const OnlineMapperState&) const = default;
-};
-
 class OnlineMapper final : public MachineObserver, public MigrationPolicy {
  public:
   /// `machine` must outlive the mapper; `initial` is the starting placement
@@ -164,6 +126,8 @@ class OnlineMapper final : public MachineObserver, public MigrationPolicy {
   int canary_commits() const { return canary_commits_; }
   /// Remap decisions skipped under post-rollback exponential damping.
   int backoff_skips() const { return backoff_skips_; }
+  /// True while a canary window is measuring the last migration.
+  bool canary_open() const { return canary_left_ > 0; }
   /// Phase epochs the phase detector has emitted so far.
   std::uint64_t phase_epochs() const { return phase_.epoch(); }
   /// Injected-fault tally of the mapper's own matrix-noise injector (null
@@ -180,12 +144,11 @@ class OnlineMapper final : public MachineObserver, public MigrationPolicy {
     detector_.set_observability(obs);
   }
 
-  /// Copies out the decision state (checkpoint support).
-  OnlineMapperState state() const;
-  /// Overwrites the decision state from a snapshot. Throws
-  /// std::invalid_argument when the snapshot's shape (matrix size, mapping
-  /// length, phase windows) does not match this mapper's.
-  void restore(const OnlineMapperState& state);
+  /// Test seam: replaces the detected matrix (same thread count), so a
+  /// test picks the exact pattern the next remap decision sees.
+  void seed_matrix_for_testing(const CommMatrix& m) {
+    detector_.seed_matrix_for_testing(m);
+  }
 
  private:
   /// Evaluates a closing canary window; returns the restored pre-move

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -25,8 +24,9 @@ namespace tlbmap {
 
 namespace {
 
-/// Bump when workload definitions or counter semantics change, so stale
-/// cache entries are never reused across library revisions.
+/// Bump when workload definitions or counter semantics change. The git
+/// describe in the key already separates builds from a checkout; this
+/// separates builds without one (describe "unknown") as well.
 constexpr int kSchemaVersion = 12;
 
 std::uint64_t fnv1a(const std::string& s) {
@@ -36,97 +36,6 @@ std::uint64_t fnv1a(const std::string& s) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-void write_stats(std::ostream& out, const MachineStats& s) {
-  out << s.accesses << ' ' << s.reads << ' ' << s.writes << ' ' << s.tlb_hits
-      << ' ' << s.tlb_misses << ' ' << s.l1_hits << ' ' << s.l1_misses << ' '
-      << s.l2_accesses << ' ' << s.l2_hits << ' ' << s.l2_misses << ' '
-      << s.invalidations << ' ' << s.snoop_transactions << ' '
-      << s.writebacks << ' ' << s.memory_fetches << ' '
-      << s.memory_fetches_local << ' ' << s.memory_fetches_remote << ' '
-      << s.intra_socket_messages << ' ' << s.inter_socket_messages << ' '
-      << s.execution_cycles << ' ' << s.detection_overhead_cycles << ' '
-      << s.detector_searches << '\n';
-}
-
-bool read_stats(std::istream& in, MachineStats& s) {
-  in >> s.accesses >> s.reads >> s.writes >> s.tlb_hits >> s.tlb_misses >>
-      s.l1_hits >> s.l1_misses >> s.l2_accesses >> s.l2_hits >> s.l2_misses >>
-      s.invalidations >> s.snoop_transactions >> s.writebacks >>
-      s.memory_fetches >> s.memory_fetches_local >> s.memory_fetches_remote >>
-      s.intra_socket_messages >>
-      s.inter_socket_messages >> s.execution_cycles >>
-      s.detection_overhead_cycles >> s.detector_searches;
-  return static_cast<bool>(in);
-}
-
-void write_matrix(std::ostream& out, const CommMatrix& m) {
-  out << m.size() << '\n';
-  for (ThreadId a = 0; a < m.size(); ++a) {
-    for (ThreadId b = 0; b < m.size(); ++b) {
-      out << m.at(a, b) << (b + 1 == m.size() ? '\n' : ' ');
-    }
-  }
-}
-
-bool read_matrix(std::istream& in, CommMatrix& m) {
-  int n = 0;
-  in >> n;
-  if (!in || n <= 0 || n > 4096) return false;
-  m = CommMatrix(n);
-  for (ThreadId a = 0; a < n; ++a) {
-    for (ThreadId b = 0; b < n; ++b) {
-      std::uint64_t v = 0;
-      in >> v;
-      if (!in) return false;
-      if (a < b) m.add(a, b, v);
-    }
-  }
-  return true;
-}
-
-void write_detection(std::ostream& out, const DetectionResult& d) {
-  out << d.mechanism << ' ' << d.searches << '\n';
-  write_stats(out, d.stats);
-  write_matrix(out, d.matrix);
-}
-
-bool read_detection(std::istream& in, DetectionResult& d) {
-  in >> d.mechanism >> d.searches;
-  if (!in) return false;
-  return read_stats(in, d.stats) && read_matrix(in, d.matrix);
-}
-
-void write_mapping(std::ostream& out, const Mapping& m) {
-  out << m.size();
-  for (const CoreId c : m) out << ' ' << c;
-  out << '\n';
-}
-
-bool read_mapping(std::istream& in, Mapping& m) {
-  std::size_t n = 0;
-  in >> n;
-  if (!in || n > 4096) return false;
-  m.resize(n);
-  for (CoreId& c : m) in >> c;
-  return static_cast<bool>(in);
-}
-
-void write_runs(std::ostream& out, const MappingRuns& r) {
-  out << r.label << ' ' << r.runs.size() << '\n';
-  for (const MachineStats& s : r.runs) write_stats(out, s);
-}
-
-bool read_runs(std::istream& in, MappingRuns& r) {
-  std::size_t n = 0;
-  in >> r.label >> n;
-  if (!in || n > 100000) return false;
-  r.runs.resize(n);
-  for (MachineStats& s : r.runs) {
-    if (!read_stats(in, s)) return false;
-  }
-  return true;
 }
 
 std::filesystem::path cache_dir() {
@@ -143,15 +52,23 @@ bool cache_disabled() {
 
 /// Everything that affects suite results, in one canonical string. Hashed
 /// for both the cache file name and the checkpoint config fingerprint.
-/// The crash-safety knobs (checkpoint_dir / checkpoint_every_events /
-/// resume) are deliberately absent: they change durability, not results.
+/// The build's git describe leads it, so no cache entry or checkpoint is
+/// ever served to another build. The crash-safety knobs (checkpoint_dir /
+/// checkpoint_every_events / resume) are deliberately absent: they change
+/// durability, not results.
 std::string suite_key_string(const SuiteConfig& c) {
   std::ostringstream key;
-  key << "v" << kSchemaVersion << '|' << c.machine.num_sockets << ','
+  // Round-trip precision: at the default 6 digits, scales or rates that
+  // differ further down would share a key.
+  key.precision(17);
+  key << "v" << kSchemaVersion << '|' << obs::build_git_describe() << '|'
+      << c.machine.num_sockets << ','
       << c.machine.cores_per_socket << ',' << c.machine.cores_per_l2 << ','
       << c.machine.page_size << ',' << c.machine.l1.size_bytes << ','
-      << c.machine.l1.ways << ',' << c.machine.l2.size_bytes << ','
-      << c.machine.l2.ways << ',' << c.machine.tlb.entries << ','
+      << c.machine.l1.line_size << ',' << c.machine.l1.ways << ','
+      << c.machine.l1.latency << ',' << c.machine.l2.size_bytes << ','
+      << c.machine.l2.line_size << ',' << c.machine.l2.ways << ','
+      << c.machine.l2.latency << ',' << c.machine.tlb.entries << ','
       << c.machine.tlb.ways << ',' << c.machine.tlb.miss_penalty << ','
       << c.machine.interconnect.snoop_intra_socket << ','
       << c.machine.interconnect.snoop_inter_socket << ','
@@ -227,7 +144,7 @@ double AppExperiment::normalized(const MappingRuns& runs,
 
 std::string suite_cache_key(const SuiteConfig& c) {
   std::ostringstream name;
-  name << "suite_" << std::hex << fnv1a(suite_key_string(c)) << ".txt";
+  name << "suite_" << std::hex << suite_config_hash(c) << ".ckpt";
   return name.str();
 }
 
@@ -236,50 +153,30 @@ std::uint64_t suite_config_hash(const SuiteConfig& c) {
 }
 
 std::string serialize_suite(const SuiteResult& result) {
-  std::ostringstream out;
-  out << "tlbmap-suite " << kSchemaVersion << '\n';
-  out << result.apps.size() << '\n';
-  for (const AppExperiment& app : result.apps) {
-    out << app.app << '\n';
-    write_detection(out, app.sm_detection);
-    write_detection(out, app.hm_detection);
-    write_detection(out, app.oracle_detection);
-    write_mapping(out, app.sm_mapping);
-    write_mapping(out, app.hm_mapping);
-    write_runs(out, app.os_runs);
-    write_runs(out, app.sm_runs);
-    write_runs(out, app.hm_runs);
-  }
-  return out.str();
-}
-
-std::optional<SuiteResult> deserialize_suite(const std::string& text,
-                                             const SuiteConfig& config) {
-  std::istringstream in(text);
-  std::string magic;
-  int version = 0;
-  in >> magic >> version;
-  if (magic != "tlbmap-suite" || version != kSchemaVersion) {
-    return std::nullopt;
-  }
-  std::size_t count = 0;
-  in >> count;
-  if (!in || count > 1000) return std::nullopt;
-  SuiteResult result;
-  result.config = config;
-  result.apps.resize(count);
-  for (AppExperiment& app : result.apps) {
-    in >> app.app;
-    if (!read_detection(in, app.sm_detection) ||
-        !read_detection(in, app.hm_detection) ||
-        !read_detection(in, app.oracle_detection) ||
-        !read_mapping(in, app.sm_mapping) ||
-        !read_mapping(in, app.hm_mapping) || !read_runs(in, app.os_runs) ||
-        !read_runs(in, app.sm_runs) || !read_runs(in, app.hm_runs)) {
-      return std::nullopt;
+  const std::uint64_t reps =
+      static_cast<std::uint64_t>(std::max(0, result.config.repetitions));
+  SuiteCheckpoint ckpt;
+  ckpt.config_hash = suite_config_hash(result.config);
+  ckpt.detect_tasks = 3 * result.apps.size();
+  ckpt.eval_tasks = 3 * reps * result.apps.size();
+  ckpt.map_done = true;
+  for (std::uint64_t i = 0; i < result.apps.size(); ++i) {
+    const AppExperiment& app = result.apps[i];
+    ckpt.detect_done.emplace(3 * i, app.sm_detection);
+    ckpt.detect_done.emplace(3 * i + 1, app.hm_detection);
+    ckpt.detect_done.emplace(3 * i + 2, app.oracle_detection);
+    ckpt.sm_mappings.push_back(app.sm_mapping);
+    ckpt.hm_mappings.push_back(app.hm_mapping);
+    const MappingRuns* policies[] = {&app.os_runs, &app.sm_runs,
+                                     &app.hm_runs};
+    for (std::uint64_t k = 0; k < 3; ++k) {
+      const std::vector<MachineStats>& runs = policies[k]->runs;
+      for (std::uint64_t rep = 0; rep < runs.size(); ++rep) {
+        ckpt.eval_done.emplace(3 * reps * i + 3 * rep + k, runs[rep]);
+      }
     }
   }
-  return result;
+  return serialize_checkpoint(ckpt);
 }
 
 SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
@@ -358,26 +255,6 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
     }
   };
 
-  const bool caching = config.use_cache && !cache_disabled();
-  const std::filesystem::path cache_file =
-      cache_dir() / suite_cache_key(config);
-  if (caching && std::filesystem::exists(cache_file)) {
-    obs::TraceSpan span(obs::tracer_at(obs, obs::ObsLevel::kPhases),
-                       "suite.cache_load", "suite");
-    std::ifstream in(cache_file);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    if (auto cached = deserialize_suite(buf.str(), config)) {
-      if (progress != nullptr) {
-        *progress << "[suite] loaded cached results from " << cache_file
-                  << "\n";
-      }
-      phase_wall.emplace_back("suite.cache_load", span.elapsed_us());
-      write_manifest(*cached, true);
-      return *cached;
-    }
-  }
-
   SuiteResult result;
   result.config = config;
   const int cores = config.machine.num_cores();
@@ -391,13 +268,19 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
   // instead of spawning fresh ones per phase or per run.
   WorkerPool pool(worker_budget);
 
-  // Crash safety (DESIGN.md Sec. 12). Tasks are the checkpoint granularity:
-  // each is independent with a preassigned seed and result slot, so a
-  // resumed suite replays exactly the missing tasks and lands on a
-  // bit-identical SuiteResult. The in-memory SuiteCheckpoint mirrors every
-  // completed task; `ckpt_mutex` guards it (workers commit concurrently)
-  // and saves go through atomic_write_file, so the on-disk file is always
-  // a complete, CRC-sealed snapshot.
+  // Crash safety and caching (DESIGN.md Sec. 12). Tasks are the checkpoint
+  // granularity: each is independent with a preassigned seed and result
+  // slot, so a run that restores some slots from a checkpoint and replays
+  // the rest lands on a bit-identical SuiteResult. `ckpt` holds the tasks
+  // known done — from a cache hit (a completed checkpoint: every slot is
+  // restored and nothing is simulated) or from --resume — and, when
+  // checkpointing, mirrors every task completed since. `ckpt_mutex` guards
+  // it (workers commit concurrently) and saves go through
+  // atomic_write_file, so the on-disk file is always a complete, CRC-sealed
+  // snapshot.
+  const bool caching = config.use_cache && !cache_disabled();
+  const std::filesystem::path cache_file =
+      cache_dir() / suite_cache_key(config);
   const bool checkpointing = !config.checkpoint_dir.empty();
   const std::filesystem::path ckpt_file =
       std::filesystem::path(config.checkpoint_dir) / "suite.ckpt";
@@ -412,6 +295,61 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
   ckpt.eval_tasks = expected_eval_tasks;
   std::mutex ckpt_mutex;
   std::uint64_t events_since_save = 0;  // guarded by ckpt_mutex
+
+  // Reads a checkpoint and re-validates its task shape behind the hash
+  // (defence in depth): a snapshot whose task structure disagrees with
+  // this config can only be a colliding corruption. A cache entry must
+  // also be complete.
+  auto load_validated = [&](const std::filesystem::path& file,
+                            bool complete) -> Expected<SuiteCheckpoint> {
+    Expected<SuiteCheckpoint> loaded = load_checkpoint(file, config_hash);
+    if (!loaded) return loaded;
+    bool shape_ok = loaded->detect_tasks == expected_detect_tasks &&
+                    loaded->eval_tasks == expected_eval_tasks;
+    for (const auto& [idx, unused] : loaded->detect_done) {
+      shape_ok = shape_ok && idx < expected_detect_tasks;
+    }
+    for (const auto& [idx, unused] : loaded->eval_done) {
+      shape_ok = shape_ok && idx < expected_eval_tasks;
+    }
+    if (loaded->map_done) {
+      shape_ok = shape_ok &&
+                 loaded->sm_mappings.size() == config.apps.size() &&
+                 loaded->hm_mappings.size() == config.apps.size();
+    }
+    if (complete) {
+      shape_ok = shape_ok && loaded->map_done &&
+                 loaded->detect_done.size() == expected_detect_tasks &&
+                 loaded->eval_done.size() == expected_eval_tasks;
+    }
+    if (!shape_ok) {
+      return Error{ErrorCode::kCheckpointMismatch,
+                   "checkpoint task shape does not match this config"};
+    }
+    return loaded;
+  };
+
+  bool cache_hit = false;
+  if (caching && std::filesystem::exists(cache_file)) {
+    obs::TraceSpan span(obs::tracer_at(obs, obs::ObsLevel::kPhases),
+                        "suite.cache_load", "suite");
+    Expected<SuiteCheckpoint> entry = load_validated(cache_file, true);
+    if (entry) {
+      ckpt = std::move(*entry);
+      cache_hit = true;
+      if (progress != nullptr) {
+        *progress << "[suite] loaded cached results from " << cache_file
+                  << "\n";
+      }
+    } else if (progress != nullptr) {
+      // Never served: the suite recomputes and overwrites the entry.
+      *progress << "[suite] cache entry " << cache_file << " rejected: "
+                << entry.error().to_string() << "; recomputing\n";
+    }
+    phase_wall.emplace_back("suite.cache_load", span.elapsed_us());
+  }
+  // A hit announces itself once; the phase lines describe real work.
+  std::ostream* const phase_log = cache_hit ? nullptr : progress;
 
   auto save_ckpt_locked = [&] {  // call with ckpt_mutex held
     const Expected<void> saved = save_checkpoint(ckpt_file, ckpt);
@@ -442,61 +380,49 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
   if (checkpointing) {
     std::error_code ec;
     std::filesystem::create_directories(config.checkpoint_dir, ec);
-    if (config.resume) {
-      auto reject = [&](const Error& err) {
-        if (progress != nullptr) {
-          *progress << "[suite] checkpoint rejected: " << err.to_string()
-                    << "; starting fresh\n";
-        }
-        if (obs::MetricsRegistry* metrics =
-                obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
-          metrics->counter("checkpoint.rejected").add(1);
-        }
-      };
+    if (config.resume && !cache_hit) {
       if (!std::filesystem::exists(ckpt_file)) {
         if (progress != nullptr) {
           *progress << "[suite] no checkpoint at " << ckpt_file
                     << "; starting fresh\n";
         }
+      } else if (Expected<SuiteCheckpoint> loaded =
+                     load_validated(ckpt_file, false);
+                 !loaded) {
+        if (progress != nullptr) {
+          *progress << "[suite] checkpoint rejected: "
+                    << loaded.error().to_string() << "; starting fresh\n";
+        }
+        if (obs::MetricsRegistry* metrics =
+                obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
+          metrics->counter("checkpoint.rejected").add(1);
+        }
       } else {
-        Expected<SuiteCheckpoint> loaded =
-            load_checkpoint(ckpt_file, config_hash);
-        if (!loaded) {
-          reject(loaded.error());
-        } else {
-          // Shape re-validation behind the hash (defence in depth): a
-          // snapshot whose task structure disagrees with this config can
-          // only be a colliding corruption — treat it as a mismatch.
-          bool shape_ok = loaded->detect_tasks == expected_detect_tasks &&
-                          loaded->eval_tasks == expected_eval_tasks;
-          for (const auto& [idx, unused] : loaded->detect_done) {
-            shape_ok = shape_ok && idx < expected_detect_tasks;
-          }
-          for (const auto& [idx, unused] : loaded->eval_done) {
-            shape_ok = shape_ok && idx < expected_eval_tasks;
-          }
-          if (loaded->map_done) {
-            shape_ok = shape_ok &&
-                       loaded->sm_mappings.size() == config.apps.size() &&
-                       loaded->hm_mappings.size() == config.apps.size();
-          }
-          if (!shape_ok) {
-            reject(Error{ErrorCode::kCheckpointMismatch,
-                         "checkpoint task shape does not match this config"});
-          } else {
-            ckpt = std::move(*loaded);
-            if (progress != nullptr) {
-              *progress << "[suite] resuming from " << ckpt_file << ": "
-                        << ckpt.detect_done.size() << "/"
-                        << expected_detect_tasks << " detect, "
-                        << ckpt.eval_done.size() << "/" << expected_eval_tasks
-                        << " eval tasks done\n";
-            }
-          }
+        ckpt = std::move(*loaded);
+        if (progress != nullptr) {
+          *progress << "[suite] resuming from " << ckpt_file << ": "
+                    << ckpt.detect_done.size() << "/"
+                    << expected_detect_tasks << " detect, "
+                    << ckpt.eval_done.size() << "/" << expected_eval_tasks
+                    << " eval tasks done\n";
         }
       }
     }
   }
+
+  // Restores a task's slot from `ckpt`; false when the task must run.
+  auto restore_done = [&](const auto& done, std::size_t idx,
+                          auto& slot) -> bool {
+    std::lock_guard<std::mutex> lock(ckpt_mutex);
+    const auto it = done.find(idx);
+    if (it == done.end()) return false;
+    slot = it->second;
+    if (obs::MetricsRegistry* metrics =
+            obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
+      metrics->counter("checkpoint.resumed_tasks").add(1);
+    }
+    return true;
+  };
 
   // The suite runs as three global phases — detect, map, evaluate — instead
   // of app-by-app: every simulation run in a phase is independent (its own
@@ -630,8 +556,8 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
   {
     obs::TraceSpan span(obs::tracer_at(obs, obs::ObsLevel::kPhases),
                         "suite.detect", "suite");
-    if (progress != nullptr) {
-      *progress << "[suite] detect: " << num_apps << " apps x 3 mechanisms\n";
+    if (phase_log != nullptr) {
+      *phase_log << "[suite] detect: " << num_apps << " apps x 3 mechanisms\n";
     }
     struct DetectTask {
       DetectionResult* slot;
@@ -650,18 +576,7 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
     }
     run_tasks("detect", tasks.size(), [&](std::size_t idx) {
       const DetectTask& task = tasks[idx];
-      if (checkpointing) {
-        std::lock_guard<std::mutex> lock(ckpt_mutex);
-        const auto done = ckpt.detect_done.find(idx);
-        if (done != ckpt.detect_done.end()) {
-          *task.slot = done->second;
-          if (obs::MetricsRegistry* metrics =
-                  obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
-            metrics->counter("checkpoint.resumed_tasks").add(1);
-          }
-          return;
-        }
-      }
+      if (restore_done(ckpt.detect_done, idx, *task.slot)) return;
       Pipeline detect_pipe(config.machine);
       detect_pipe.sm_config() = config.sm;
       detect_pipe.hm_config() = config.hm;
@@ -717,7 +632,7 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
                                    detection.matrix.size());
       }
     };
-    if (checkpointing && ckpt.map_done) {
+    if (ckpt.map_done) {
       // Mapping is deterministic given the detections, so replaying it
       // would land on the same placements; restoring keeps the checkpoint
       // the single source of truth (and skips any fallback re-reporting).
@@ -753,9 +668,10 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
   {
     obs::TraceSpan span(obs::tracer_at(obs, obs::ObsLevel::kPhases),
                         "suite.evaluate", "suite");
-    if (progress != nullptr) {
-      *progress << "[suite] evaluate: " << num_apps << " apps x 3 mappings x "
-                << config.repetitions << " repetitions\n";
+    if (phase_log != nullptr) {
+      *phase_log << "[suite] evaluate: " << num_apps
+                 << " apps x 3 mappings x " << config.repetitions
+                 << " repetitions\n";
     }
     const int reps = config.repetitions;
     struct EvalTask {
@@ -792,18 +708,7 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
     }
     run_tasks("evaluate", tasks.size(), [&](std::size_t idx) {
       const EvalTask& task = tasks[idx];
-      if (checkpointing) {
-        std::lock_guard<std::mutex> lock(ckpt_mutex);
-        const auto done = ckpt.eval_done.find(idx);
-        if (done != ckpt.eval_done.end()) {
-          *task.slot = done->second;
-          if (obs::MetricsRegistry* metrics =
-                  obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
-            metrics->counter("checkpoint.resumed_tasks").add(1);
-          }
-          return;
-        }
-      }
+      if (restore_done(ckpt.eval_done, idx, *task.slot)) return;
       Pipeline worker_pipe(config.machine);
       // The tracer and registry are thread-safe; evaluation spans from
       // parallel workers interleave in the ring like any other events.
@@ -857,7 +762,8 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
     std::error_code ec;
     std::filesystem::remove(ckpt_file, ec);
   }
-  if (caching) {
+  if (caching && !cache_hit) {
+    // Written over any rejected entry, so a damaged one is never read twice.
     std::error_code ec;
     std::filesystem::create_directories(cache_dir(), ec);
     if (!ec) {
@@ -875,7 +781,7 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
       }
     }
   }
-  write_manifest(result, false);
+  write_manifest(result, cache_hit);
   return result;
 }
 

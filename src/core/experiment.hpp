@@ -10,12 +10,16 @@
 // Because several bench binaries consume the same suite (Figures 6-9,
 // Tables IV/V), results are cached on disk keyed by a config hash; set
 // TLBMAP_NO_CACHE=1 (or use_cache=false) to force recomputation, and
-// TLBMAP_CACHE_DIR to relocate the cache (default /tmp/tlbmap_cache).
+// TLBMAP_CACHE_DIR to relocate the cache (default $TMPDIR/tlbmap_cache).
+// A cache entry is the suite's completed TLBK checkpoint (DESIGN.md
+// Sec. 12): a hit is a resume whose every task is done, decoded by the
+// same parse_checkpoint that --resume uses. A corrupt, truncated or
+// foreign entry is reported on the progress stream, never served, and
+// overwritten by the recomputed result.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -156,8 +160,10 @@ struct SuiteResult {
 /// Runs (or loads from cache) the whole evaluation. `progress`, when given,
 /// receives one line per phase. `obs`, when given, receives one span per
 /// phase (suite.detect / suite.map / suite.evaluate) plus everything the
-/// underlying Pipeline publishes (cached loads record a "suite.cache_load"
-/// span and nothing else).
+/// underlying Pipeline publishes. A run that finds a cache entry also
+/// records a "suite.cache_load" span; on a hit the three phase spans only
+/// restore slots, so no pipeline.* span or simulation counter appears and
+/// the manifest records cache_hit: true.
 SuiteResult run_suite(const SuiteConfig& config,
                       std::ostream* progress = nullptr,
                       obs::ObsContext* obs = nullptr);
@@ -225,7 +231,8 @@ CommMatrix pair_truth_matrix(int num_threads, int shift);
 /// Runs the three-arm differential described above.
 ChurnScenarioResult run_churn_scenario(const ChurnScenarioConfig& config);
 
-/// Cache plumbing (exposed for tests).
+/// Cache entry file name, `suite_<config hash>.ckpt` (exposed for tests and
+/// benches that look the entry up).
 std::string suite_cache_key(const SuiteConfig& config);
 /// Result-affecting fingerprint of a config (the cache key's hash): two
 /// configs share it iff they would produce identical results, so it is what
@@ -233,8 +240,9 @@ std::string suite_cache_key(const SuiteConfig& config);
 /// crash-safety knobs (checkpoint_dir / checkpoint_every_events / resume)
 /// are deliberately excluded.
 std::uint64_t suite_config_hash(const SuiteConfig& config);
+/// The cache entry bytes: serialize_checkpoint of a SuiteCheckpoint with
+/// every task of `result` done, at run_suite's task indices. Equal bytes
+/// mean bit-identical detections, mappings and run stats.
 std::string serialize_suite(const SuiteResult& result);
-std::optional<SuiteResult> deserialize_suite(const std::string& text,
-                                             const SuiteConfig& config);
 
 }  // namespace tlbmap

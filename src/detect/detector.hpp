@@ -38,6 +38,9 @@ class Detector : public MachineObserver {
 
   void reset_matrix() { matrix_ = CommMatrix(matrix_.size()); }
 
+  /// Test seam: replaces the accumulated matrix (same thread count).
+  void seed_matrix_for_testing(const CommMatrix& m) { matrix_ = m; }
+
   /// Ages the accumulated matrix (dynamic re-detection support).
   void decay_matrix(double factor) { matrix_.decay(factor); }
 

@@ -107,33 +107,4 @@ bool PhaseDetector::observe(const CommMatrix& matrix) {
   return changed;
 }
 
-PhaseDetectorState PhaseDetector::state() const {
-  PhaseDetectorState s;
-  s.epoch = epoch_;
-  s.has_reference = has_reference_;
-  s.reference = reference_;
-  s.ref_accesses = ref_accesses_;
-  s.ref_misses = ref_misses_;
-  s.window_accesses = window_accesses_;
-  s.window_misses = window_misses_;
-  return s;
-}
-
-void PhaseDetector::restore(const PhaseDetectorState& state) {
-  const auto n = static_cast<std::size_t>(num_threads_);
-  if (state.reference.size() != num_threads_ ||
-      state.ref_accesses.size() != n || state.ref_misses.size() != n ||
-      state.window_accesses.size() != n || state.window_misses.size() != n) {
-    throw std::invalid_argument(
-        "PhaseDetector::restore: snapshot shape mismatch");
-  }
-  epoch_ = state.epoch;
-  has_reference_ = state.has_reference;
-  reference_ = state.reference;
-  ref_accesses_ = state.ref_accesses;
-  ref_misses_ = state.ref_misses;
-  window_accesses_ = state.window_accesses;
-  window_misses_ = state.window_misses;
-}
-
 }  // namespace tlbmap

@@ -14,8 +14,7 @@
 // Either signal past its threshold starts a new phase: the epoch counter
 // bumps and the reference re-anchors to the current matrix/window. Epochs
 // are monotone and deterministic — a pure function of the observation
-// sequence — so OnlineMapper can seal them into its checkpoint state and
-// reproduce them bit-identically on resume.
+// sequence — so OnlineMapper's decisions stay bit-reproducible.
 #pragma once
 
 #include <cstdint>
@@ -44,20 +43,6 @@ struct PhaseDetectorConfig {
   void validate() const;
 };
 
-/// Serializable snapshot: the epoch cursor, the phase-reference matrix and
-/// per-thread reference window, plus the in-flight accumulation window.
-struct PhaseDetectorState {
-  std::uint64_t epoch = 0;
-  bool has_reference = false;
-  CommMatrix reference{1};
-  std::vector<std::uint64_t> ref_accesses;
-  std::vector<std::uint64_t> ref_misses;
-  std::vector<std::uint64_t> window_accesses;
-  std::vector<std::uint64_t> window_misses;
-
-  bool operator==(const PhaseDetectorState&) const = default;
-};
-
 class PhaseDetector {
  public:
   explicit PhaseDetector(int num_threads, PhaseDetectorConfig config = {});
@@ -73,13 +58,10 @@ class PhaseDetector {
   bool observe(const CommMatrix& matrix);
 
   std::uint64_t epoch() const { return epoch_; }
+  /// True once a shaped matrix has anchored the phase reference.
+  bool armed() const { return has_reference_; }
   const PhaseDetectorConfig& config() const { return config_; }
   int num_threads() const { return num_threads_; }
-
-  PhaseDetectorState state() const;
-  /// Throws std::invalid_argument when the snapshot's shape (matrix size,
-  /// window lengths) does not match this detector's thread count.
-  void restore(const PhaseDetectorState& state);
 
  private:
   void anchor(const CommMatrix& matrix);

@@ -38,18 +38,10 @@ struct CacheConfig {
   }
 };
 
-/// How the TLB is refilled on a miss — selects the detection mechanism the
-/// operating system can attach (paper Sec. IV-A vs IV-B).
-enum class TlbManagement : std::uint8_t {
-  kSoftware,  ///< miss traps to the OS (SPARC/MIPS style)
-  kHardware,  ///< hardware page walker (x86 style)
-};
-
 /// Geometry of one per-core TLB.
 struct TlbConfig {
   std::size_t entries = 64;
   std::size_t ways = 4;
-  TlbManagement management = TlbManagement::kHardware;
   /// Cycles to service a miss: trap + OS refill (software) or page walk
   /// (hardware). Charged to the faulting core.
   Cycles miss_penalty = 30;
@@ -208,7 +200,7 @@ struct MachineConfig {
     c.interconnect.invalidate_hop_extra = 10;
     c.l1 = CacheConfig{2048, 64, 2, 2};
     c.l2 = CacheConfig{8192, 64, 4, 8};
-    c.tlb = TlbConfig{16, 2, TlbManagement::kHardware, 30};
+    c.tlb = TlbConfig{16, 2, 30};
     return c;
   }
 
@@ -221,7 +213,7 @@ struct MachineConfig {
     c.cores_per_l2 = 2;
     c.l1 = CacheConfig{1024, 64, 2, 2};
     c.l2 = CacheConfig{4096, 64, 4, 8};
-    c.tlb = TlbConfig{8, 2, TlbManagement::kHardware, 30};
+    c.tlb = TlbConfig{8, 2, 30};
     return c;
   }
 };

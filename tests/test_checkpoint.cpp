@@ -1,6 +1,6 @@
 // Crash-safety tests (DESIGN.md Sec. 12): the atomic file primitives, the
-// TLBK checkpoint envelope and its corruption taxonomy, detector/mapper
-// state round-trips, and — the acceptance bar — resume determinism: a suite
+// TLBK checkpoint envelope and its corruption taxonomy, the task index
+// layout, and — the acceptance bar — resume determinism: a suite
 // interrupted and resumed must produce a SuiteResult bit-identical to an
 // uninterrupted run, and a corrupted checkpoint must be rejected with a
 // structured error and a clean fresh-run fallback, never a crash.
@@ -22,13 +22,10 @@
 #include <gtest/gtest.h>
 
 #include "core/checkpoint.hpp"
-#include "core/dynamic.hpp"
 #include "core/experiment.hpp"
 #include "core/io.hpp"
 #include "core/pipeline.hpp"
 #include "core/shutdown.hpp"
-#include "detect/hm_detector.hpp"
-#include "detect/sm_detector.hpp"
 #include "obs/obs.hpp"
 #include "sim/machine.hpp"
 
@@ -385,147 +382,6 @@ TEST(Checkpoint, SaveLoadRoundTripsThroughDisk) {
 }
 
 // ---------------------------------------------------------------------------
-// Detector / online-mapper state snapshots.
-
-TEST(Checkpoint, SmStateRoundTrip) {
-  SmDetectorState state;
-  state.matrix = CommMatrix(8);
-  state.matrix.add(1, 5, 12);
-  state.matrix.add(0, 7, 3);
-  state.searches = 21;
-  state.misses_seen = 400;
-  state.miss_counter = 6;
-  const auto back = parse_sm_state(serialize_sm_state(state));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_TRUE(*back == state);
-}
-
-TEST(Checkpoint, HmStateRoundTrip) {
-  HmDetectorState state;
-  state.matrix = CommMatrix(8);
-  state.matrix.add(2, 3, 9);
-  state.searches = 4;
-  state.misses_seen = 1000;
-  state.last_sweep = 800'000;
-  state.pending_delay = 123;
-  state.retry_count = 2;
-  state.retry_at = 900'000;
-  const auto back = parse_hm_state(serialize_hm_state(state));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_TRUE(*back == state);
-}
-
-TEST(Checkpoint, MapperStateRoundTripAndFileTag) {
-  OnlineMapperState state;
-  state.detector.matrix = CommMatrix(4);
-  state.detector.matrix.add(0, 3, 50);
-  state.detector.searches = 11;
-  state.detector.misses_seen = 77;
-  state.mapping = {2, 0, 3, 1};
-  state.migrations = 3;
-  state.remap_decisions = 5;
-  state.degraded_decisions = 1;
-  state.cooldown_left = 2;
-  // Self-stabilization trail (PR 10): an open canary transaction with its
-  // phase-anchored baseline, rollback damping, and phase-detector snapshot
-  // must all survive the codec.
-  state.rollbacks = 2;
-  state.canary_commits = 4;
-  state.backoff_skips = 6;
-  state.canary_left = 1;
-  state.backoff_left = 3;
-  state.phase_rollbacks = 2;
-  state.canary_prev = {0, 1, 2, 3};
-  state.canary_cost = 123'456;
-  state.canary_accesses = 9'876;
-  state.baseline_cost = 55'555;
-  state.baseline_accesses = 4'444;
-  state.decision_cost = 222'222;
-  state.decision_accesses = 11'111;
-  state.phase_cost = 77'777;
-  state.phase_accesses = 6'666;
-  state.phase.epoch = 5;
-  state.phase.has_reference = true;
-  state.phase.reference = CommMatrix(4);
-  state.phase.reference.add(1, 2, 40);
-  state.phase.ref_accesses = {10, 20, 30, 40};
-  state.phase.ref_misses = {1, 2, 3, 4};
-  state.phase.window_accesses = {5, 6, 7, 8};
-  state.phase.window_misses = {0, 1, 0, 2};
-
-  const auto back = parse_mapper_state(serialize_mapper_state(state));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_TRUE(*back == state);
-
-  const fs::path dir = scratch_dir("mapper_ckpt");
-  const fs::path file = dir / "mapper.ckpt";
-  ASSERT_TRUE(save_mapper_checkpoint(file, state, /*tag=*/42).has_value());
-  const auto loaded = load_mapper_checkpoint(file, 42);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(*loaded == state);
-  // A snapshot from one setup is rejected structurally in another.
-  const auto wrong = load_mapper_checkpoint(file, 43);
-  ASSERT_FALSE(wrong.has_value());
-  EXPECT_EQ(wrong.error().code, ErrorCode::kCheckpointMismatch);
-}
-
-TEST(Checkpoint, GarbageDetectorPayloadsAreCorrupt) {
-  const auto sm = parse_sm_state("garbage");
-  ASSERT_FALSE(sm.has_value());
-  EXPECT_EQ(sm.error().code, ErrorCode::kCorruptCheckpoint);
-  const auto hm = parse_hm_state("");
-  ASSERT_FALSE(hm.has_value());
-  EXPECT_EQ(hm.error().code, ErrorCode::kCorruptCheckpoint);
-  const auto mp = parse_mapper_state("\x01\x02\x03");
-  ASSERT_FALSE(mp.has_value());
-  EXPECT_EQ(mp.error().code, ErrorCode::kCorruptCheckpoint);
-}
-
-TEST(Checkpoint, LiveDetectorRestoreRoundTrips) {
-  Machine machine(MachineConfig::tiny());
-
-  SmDetectorState sm_state;
-  sm_state.matrix = CommMatrix(2);
-  sm_state.matrix.add(0, 1, 64);
-  sm_state.searches = 8;
-  sm_state.misses_seen = 120;
-  sm_state.miss_counter = 3;
-  SmDetector sm(machine, 2);
-  sm.restore(sm_state);
-  EXPECT_TRUE(sm.state() == sm_state);
-
-  HmDetectorState hm_state;
-  hm_state.matrix = CommMatrix(2);
-  hm_state.matrix.add(0, 1, 7);
-  hm_state.searches = 2;
-  hm_state.last_sweep = 400'000;
-  HmDetector hm(machine, 2);
-  hm.restore(hm_state);
-  EXPECT_TRUE(hm.state() == hm_state);
-
-  // Shape mismatches are a caller bug, rejected loudly.
-  SmDetectorState wrong;
-  wrong.matrix = CommMatrix(5);
-  EXPECT_THROW(sm.restore(wrong), std::invalid_argument);
-}
-
-TEST(Checkpoint, OnlineMapperRestoreRejectsShapeMismatch) {
-  Machine machine(MachineConfig::tiny());
-  OnlineMapper mapper(machine, 2, Mapping{0, 1});
-
-  OnlineMapperState state = mapper.state();
-  state.migrations = 9;
-  state.cooldown_left = 4;
-  state.detector.misses_seen = 55;
-  mapper.restore(state);
-  EXPECT_TRUE(mapper.state() == state);
-
-  OnlineMapperState wrong = state;
-  wrong.mapping = {0, 1, 2};
-  EXPECT_THROW(mapper.restore(wrong), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
 // Cooperative shutdown: machine-level and suite-level.
 
 TEST(Shutdown, MachineTryRunReturnsInterrupted) {
@@ -597,6 +453,35 @@ TEST(Resume, PartialCheckpointContinuesBitIdentically) {
   EXPECT_EQ(ctx.metrics.counter_value("checkpoint.rejected"), 0u);
   // A completed suite retires its checkpoint.
   EXPECT_FALSE(fs::exists(dir / "suite.ckpt"));
+}
+
+TEST(Resume, EvalTaskIndexIsPolicyWithinRepetition) {
+  // Eval task i covers policy i%3 (OS, SM, HM) of repetition (i/3)%reps:
+  // a checkpoint holding only task 1 fills the first repetition's SM slot.
+  ShutdownGuard guard;
+  SuiteConfig config = tiny_suite();
+  const fs::path dir = scratch_dir("resume_eval_index");
+  SuiteCheckpoint ckpt;
+  ckpt.config_hash = suite_config_hash(config);
+  ckpt.detect_tasks = 3;
+  ckpt.eval_tasks = 6;
+  MachineStats marker;
+  marker.accesses = 12345;
+  marker.execution_cycles = 67890;
+  ckpt.eval_done[1] = marker;
+  ASSERT_TRUE(save_checkpoint(dir / "suite.ckpt", ckpt).has_value());
+
+  config.checkpoint_dir = dir.string();
+  config.resume = true;
+  const SuiteResult result = run_suite(config);
+  ASSERT_EQ(result.apps.size(), 1u);
+  const AppExperiment& app = result.apps[0];
+  ASSERT_EQ(app.sm_runs.runs.size(), 2u);
+  EXPECT_TRUE(app.sm_runs.runs[0] == marker);
+  EXPECT_FALSE(app.sm_runs.runs[1] == marker);
+  for (const MappingRuns* runs : {&app.os_runs, &app.hm_runs}) {
+    for (const MachineStats& s : runs->runs) EXPECT_FALSE(s == marker);
+  }
 }
 
 TEST(Resume, InterruptThenResumeMatchesUninterruptedRun) {

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/checkpoint.hpp"
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
 #include "npb/synthetic.hpp"
@@ -206,11 +205,11 @@ TEST(OnlineMapper, RejectsInvalidInitialMapping) {
 }
 
 // ---------------------------------------------------------------------------
-// Canary transactions, rollback and checkpointed decision state (PR 10).
+// Canary transactions and rollback.
 //
 // These drive OnlineMapper directly: the detected matrix is seeded through
-// restore() and barriers carry fabricated cycle/access counters, so every
-// cost rate the canary compares is chosen exactly.
+// seed_matrix_for_testing() and barriers carry fabricated cycle/access
+// counters, so every cost rate the canary compares is chosen exactly.
 
 OnlineMapperConfig canary_config() {
   OnlineMapperConfig cfg;
@@ -228,14 +227,13 @@ OnlineMapperConfig canary_config() {
   return cfg;
 }
 
-/// Seeds the mapper's detected matrix via its own restore path: pairs
-/// (0,1) and (2,3) share heavily, nothing else communicates.
+/// Seeds the mapper's detected matrix: pairs (0,1) and (2,3) share
+/// heavily, nothing else communicates.
 void seed_pairs_matrix(OnlineMapper& mapper) {
-  OnlineMapperState s = mapper.state();
-  s.detector.matrix = CommMatrix(4);
-  s.detector.matrix.add(0, 1, 1000);
-  s.detector.matrix.add(2, 3, 1000);
-  mapper.restore(s);
+  CommMatrix m(4);
+  m.add(0, 1, 1000);
+  m.add(2, 3, 1000);
+  mapper.seed_matrix_for_testing(m);
 }
 
 MachineStats stats_of(std::uint64_t accesses) {
@@ -284,7 +282,7 @@ TEST(OnlineMapper, CanaryRollbackRestoresPreMovePlacement) {
   ASSERT_FALSE(moved.empty());
   EXPECT_NE(moved, kSplitStart);
   EXPECT_EQ(mapper.migrations(), 1);
-  EXPECT_GT(mapper.state().canary_left, 0);
+  EXPECT_TRUE(mapper.canary_open());
 
   // The canary window runs at 4x the baseline rate: cycles race ahead of
   // accesses. The window closes on the third tick and must roll back.
@@ -295,7 +293,7 @@ TEST(OnlineMapper, CanaryRollbackRestoresPreMovePlacement) {
   EXPECT_EQ(mapper.current_mapping(), kSplitStart);
   EXPECT_EQ(mapper.rollbacks(), 1);
   EXPECT_EQ(mapper.canary_commits(), 0);
-  EXPECT_EQ(mapper.state().canary_left, 0);
+  EXPECT_FALSE(mapper.canary_open());
 }
 
 TEST(OnlineMapper, CanaryCommitKeepsMigration) {
@@ -351,44 +349,6 @@ TEST(OnlineMapper, BackoffDampsRemigrationAfterRollback) {
   EXPECT_TRUE(mapper.on_barrier(4, 8000, stats_of(3500)).empty());
   EXPECT_GE(mapper.backoff_skips(), 1);
   EXPECT_EQ(mapper.migrations(), 1);
-}
-
-TEST(OnlineMapper, CheckpointMidCanaryReplaysBitIdentically) {
-  // Acceptance (PR 10): checkpoint/resume while a canary transaction is in
-  // flight reproduces the decision sequence — including the rollback —
-  // bit-for-bit.
-  Machine machine(MachineConfig::harpertown());
-  OnlineMapper original(machine, 4, kSplitStart, canary_config());
-  seed_pairs_matrix(original);
-
-  ASSERT_FALSE(original.on_barrier(0, 1000, stats_of(1000)).empty());
-  original.on_barrier(1, 3000, stats_of(1500));
-  const OnlineMapperState snapshot = original.state();
-  ASSERT_GT(snapshot.canary_left, 0);  // mid-window
-
-  // Seal through the on-disk codec, not just a struct copy.
-  const auto parsed = parse_mapper_state(serialize_mapper_state(snapshot));
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_TRUE(*parsed == snapshot);
-  OnlineMapper resumed(machine, 4, kSplitStart, canary_config());
-  resumed.restore(*parsed);
-
-  // Replay an identical tail into both mappers; every returned placement
-  // and every piece of decision state must match exactly.
-  const std::uint64_t cycles[] = {5000, 7000, 9000, 11000, 13000};
-  const std::uint64_t accesses[] = {2000, 2500, 3500, 4500, 5500};
-  bool rolled_back = false;
-  for (int i = 0; i < 5; ++i) {
-    const auto a = original.on_barrier(2 + i, cycles[i], stats_of(accesses[i]));
-    const auto b = resumed.on_barrier(2 + i, cycles[i], stats_of(accesses[i]));
-    EXPECT_EQ(a, b) << "diverged at barrier " << 2 + i;
-    EXPECT_TRUE(original.state() == resumed.state())
-        << "state diverged at barrier " << 2 + i;
-    rolled_back = rolled_back || !a.empty();
-  }
-  EXPECT_TRUE(rolled_back);  // the replayed window did regress
-  EXPECT_EQ(original.rollbacks(), resumed.rollbacks());
-  EXPECT_EQ(original.rollbacks(), 1);
 }
 
 // ---------------------------------------------------------------------------

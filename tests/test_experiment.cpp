@@ -1,5 +1,7 @@
-// Tests for the experiment harness: metric extraction, summaries,
-// serialization round-trips and cache keys.
+// Tests for the experiment harness: metric extraction, summaries, cache
+// keys and the suite cache (cold write, warm hit, damaged entries).
+#include <stdlib.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -8,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/checkpoint.hpp"
 #include "core/experiment.hpp"
+#include "core/io.hpp"
 #include "obs/obs.hpp"
 
 namespace tlbmap {
@@ -61,62 +65,6 @@ TEST(Experiment, NormalizedZeroBaselineSafe) {
   EXPECT_DOUBLE_EQ(app.normalized(app.sm_runs, Metric::kTimeSeconds), 1.0);
 }
 
-SuiteResult tiny_result() {
-  SuiteResult result;
-  AppExperiment app;
-  app.app = "BT";
-  app.sm_detection.mechanism = "SM";
-  app.sm_detection.searches = 42;
-  app.sm_detection.matrix = CommMatrix(4);
-  app.sm_detection.matrix.add(0, 1, 7);
-  app.sm_detection.stats.accesses = 1000;
-  app.sm_detection.stats.tlb_misses = 10;
-  app.hm_detection = app.sm_detection;
-  app.hm_detection.mechanism = "HM";
-  app.oracle_detection = app.sm_detection;
-  app.oracle_detection.mechanism = "oracle";
-  app.sm_mapping = {0, 1, 2, 3};
-  app.hm_mapping = {3, 2, 1, 0};
-  app.os_runs = runs_with_cycles({10, 20});
-  app.os_runs.label = "OS";
-  app.sm_runs = runs_with_cycles({5});
-  app.sm_runs.label = "SM";
-  app.hm_runs = runs_with_cycles({6});
-  app.hm_runs.label = "HM";
-  result.apps.push_back(app);
-  return result;
-}
-
-TEST(Experiment, SerializationRoundTrip) {
-  const SuiteResult original = tiny_result();
-  const std::string text = serialize_suite(original);
-  const auto restored = deserialize_suite(text, SuiteConfig{});
-  ASSERT_TRUE(restored.has_value());
-  ASSERT_EQ(restored->apps.size(), 1u);
-  const AppExperiment& app = restored->apps[0];
-  EXPECT_EQ(app.app, "BT");
-  EXPECT_EQ(app.sm_detection.searches, 42u);
-  EXPECT_EQ(app.sm_detection.matrix.at(0, 1), 7u);
-  EXPECT_EQ(app.sm_detection.stats.accesses, 1000u);
-  EXPECT_EQ(app.hm_mapping, (Mapping{3, 2, 1, 0}));
-  EXPECT_EQ(app.os_runs.runs.size(), 2u);
-  EXPECT_EQ(app.os_runs.label, "OS");
-  EXPECT_EQ(app.sm_runs.runs[0].execution_cycles, 5u);
-}
-
-TEST(Experiment, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(deserialize_suite("not a suite", SuiteConfig{}).has_value());
-  EXPECT_FALSE(deserialize_suite("", SuiteConfig{}).has_value());
-  EXPECT_FALSE(
-      deserialize_suite("tlbmap-suite 0\n1\n", SuiteConfig{}).has_value());
-}
-
-TEST(Experiment, DeserializeRejectsTruncated) {
-  std::string text = serialize_suite(tiny_result());
-  text.resize(text.size() / 2);
-  EXPECT_FALSE(deserialize_suite(text, SuiteConfig{}).has_value());
-}
-
 TEST(Experiment, CacheKeyStableAndSensitive) {
   const SuiteConfig a;
   SuiteConfig b;
@@ -132,6 +80,135 @@ TEST(Experiment, CacheKeyStableAndSensitive) {
   SuiteConfig e;
   e.machine.tlb.entries = 128;
   EXPECT_NE(suite_cache_key(a), suite_cache_key(e));
+  // Cache latency and line size move every simulated cycle count.
+  SuiteConfig f;
+  f.machine.l2.latency += 1;
+  EXPECT_NE(suite_cache_key(a), suite_cache_key(f));
+  SuiteConfig g;
+  g.machine.l1.line_size = 128;
+  EXPECT_NE(suite_cache_key(a), suite_cache_key(g));
+  // Doubles enter the key at full precision.
+  SuiteConfig h;
+  SuiteConfig i;
+  h.workload.iter_scale = 0.12345671;
+  i.workload.iter_scale = 0.12345672;
+  EXPECT_NE(suite_cache_key(h), suite_cache_key(i));
+}
+
+// ---------------------------------------------------------------------------
+// The suite cache: an entry is the completed TLBK checkpoint.
+
+/// Points the suite cache at a fresh directory for one test and restores
+/// the environment afterwards.
+class CacheDirGuard {
+ public:
+  explicit CacheDirGuard(const std::string& name)
+      : dir_(std::filesystem::path(testing::TempDir()) /
+             ("tlbmap_cache_" + name)) {
+    std::filesystem::remove_all(dir_);
+    ::setenv("TLBMAP_CACHE_DIR", dir_.c_str(), 1);
+    ::unsetenv("TLBMAP_NO_CACHE");
+  }
+  ~CacheDirGuard() {
+    ::unsetenv("TLBMAP_CACHE_DIR");
+    std::filesystem::remove_all(dir_);
+  }
+  const std::filesystem::path& dir() const { return dir_; }
+
+ private:
+  std::filesystem::path dir_;
+};
+
+SuiteConfig cached_suite() {
+  SuiteConfig config;
+  config.apps = {"EP"};
+  config.repetitions = 2;
+  config.workload.iter_scale = 0.2;
+  config.detect_iter_scale = 1.0;
+  config.use_cache = true;
+  return config;
+}
+
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// Spans named `name` in the context's trace ring.
+std::size_t spans_named(const obs::ObsContext& ctx, const std::string& name) {
+  std::size_t n = 0;
+  for (const obs::TraceEvent& ev : ctx.tracer.snapshot()) {
+    if (ev.kind == obs::TraceEvent::Kind::kSpan && ev.name == name) ++n;
+  }
+  return n;
+}
+
+TEST(SuiteCache, ColdRunWritesEntryAndWarmRunSimulatesNothing) {
+  const CacheDirGuard guard("warm");
+  const SuiteConfig config = cached_suite();
+  const std::filesystem::path entry = guard.dir() / suite_cache_key(config);
+  EXPECT_EQ(entry.extension(), ".ckpt");
+
+  const SuiteResult cold = run_suite(config);
+  ASSERT_FALSE(cold.degraded());
+  ASSERT_TRUE(std::filesystem::exists(entry));
+  EXPECT_EQ(file_bytes(entry), serialize_suite(cold));
+
+  std::ostringstream progress;
+  obs::ObsContext ctx;
+  const SuiteResult warm = run_suite(config, &progress, &ctx);
+  EXPECT_EQ(serialize_suite(warm), serialize_suite(cold));
+  ASSERT_EQ(warm.apps.size(), 1u);
+  EXPECT_EQ(warm.apps[0].app, cold.apps[0].app);
+  EXPECT_EQ(warm.apps[0].sm_runs.label, "SM");
+  EXPECT_NE(progress.str().find("loaded cached results"), std::string::npos);
+  EXPECT_EQ(spans_named(ctx, "suite.cache_load"), 1u);
+  EXPECT_EQ(spans_named(ctx, "pipeline.detect"), 0u);
+  EXPECT_EQ(spans_named(ctx, "pipeline.evaluate"), 0u);
+}
+
+TEST(SuiteCache, DamagedOrForeignEntriesAreRecomputedAndOverwritten) {
+  const CacheDirGuard guard("damaged");
+  const SuiteConfig config = cached_suite();
+  const std::filesystem::path entry = guard.dir() / suite_cache_key(config);
+  const std::string good = serialize_suite(run_suite(config));
+  ASSERT_EQ(file_bytes(entry), good);
+
+  // Another config's entry, copied under this config's name.
+  SuiteConfig other = config;
+  other.base_seed += 1;
+  run_suite(other);
+  const std::string foreign =
+      file_bytes(guard.dir() / suite_cache_key(other));
+  ASSERT_FALSE(foreign.empty());
+  ASSERT_NE(foreign, good);
+
+  std::string flipped = good;
+  flipped[flipped.size() / 2] ^= 0x10;  // one payload byte
+  SuiteCheckpoint partial;  // sound envelope, right hash, tasks missing
+  partial.config_hash = suite_config_hash(config);
+  partial.detect_tasks = 3;
+  partial.eval_tasks = 6;
+  const std::pair<const char*, std::string> bad_entries[] = {
+      {"flipped byte", flipped},
+      {"truncated", good.substr(0, good.size() / 2)},
+      {"foreign", foreign},
+      {"incomplete", serialize_checkpoint(partial)},
+  };
+  for (const auto& [what, bytes] : bad_entries) {
+    SCOPED_TRACE(what);
+    ASSERT_TRUE(atomic_write_file(entry, bytes).has_value());
+    std::ostringstream progress;
+    obs::ObsContext ctx;
+    const SuiteResult result = run_suite(config, &progress, &ctx);
+    EXPECT_NE(progress.str().find("rejected"), std::string::npos);
+    EXPECT_EQ(progress.str().find("loaded cached results"), std::string::npos);
+    EXPECT_GT(spans_named(ctx, "pipeline.evaluate"), 0u);
+    EXPECT_EQ(serialize_suite(result), good);
+    EXPECT_EQ(file_bytes(entry), good);
+  }
 }
 
 TEST(Experiment, RunSuiteSingleAppSmoke) {

@@ -10,8 +10,7 @@ namespace tlbmap {
 namespace {
 
 TlbConfig small_config() {
-  return TlbConfig{/*entries=*/8, /*ways=*/2, TlbManagement::kHardware,
-                   /*miss_penalty=*/30};
+  return TlbConfig{/*entries=*/8, /*ways=*/2, /*miss_penalty=*/30};
 }
 
 TEST(Tlb, StartsEmpty) {
